@@ -18,7 +18,6 @@ from .analytics import (
     p0_derivative,
     p0_mass,
     priority_density,
-    quantile_transform,
     sojourn_time,
     stability_threshold,
     tail_pmf,
@@ -26,7 +25,6 @@ from .analytics import (
 )
 from .des import (
     CustomerRecord,
-    PriorityRegistry,
     SimConfig,
     SimObserver,
     SimTrace,
@@ -43,9 +41,6 @@ from .estimate import (
     CurveEstimate,
     DensityAccumulator,
     RecordBinStats,
-    estimate_density,
-    estimate_sojourn,
-    estimate_waiting,
     evaluate,
     read_curve_csv,
     write_curve_csv,
@@ -83,14 +78,12 @@ __all__ = [
     "p0_derivative",
     "p0_mass",
     "priority_density",
-    "quantile_transform",
     "sojourn_time",
     "stability_threshold",
     "tail_pmf",
     "waiting_time",
     # des
     "CustomerRecord",
-    "PriorityRegistry",
     "SimConfig",
     "SimObserver",
     "SimTrace",
@@ -106,9 +99,6 @@ __all__ = [
     "CurveEstimate",
     "DensityAccumulator",
     "RecordBinStats",
-    "estimate_density",
-    "estimate_sojourn",
-    "estimate_waiting",
     "evaluate",
     "read_curve_csv",
     "write_curve_csv",

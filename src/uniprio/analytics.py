@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 __all__ = [
     "SystemParams",
@@ -50,7 +49,6 @@ __all__ = [
     "sojourn_time",
     "waiting_time",
     "mean_measure",
-    "quantile_transform",
 ]
 
 # Above this server count, factorials and powers move to log space.
@@ -427,16 +425,3 @@ def mean_measure(params: SystemParams, a: float, b: float) -> ExtendedReal:
     diff = expected_tail_count(params, a).finite - expected_tail_count(params, b).finite
     # The analytic difference is nonnegative; absorb last-ulp rounding noise.
     return ExtendedReal(diff if diff > 0.0 else 0.0)
-
-
-def quantile_transform(quantile_fn: Callable[[float], float], p: float) -> float:
-    """Map a uniform level through a distribution's quantile (inverse CDF).
-
-    Because scheduling depends only on the ordering of levels, pushing the
-    uniform levels through any nondecreasing quantile function reproduces the
-    queue dynamics under that priority distribution. This helper just applies
-    ``quantile_fn`` to a level in [0, 1]; it exists so call sites say what the
-    mapping means.
-    """
-    p = _check_level(p)
-    return float(quantile_fn(p))

@@ -1,32 +1,32 @@
 """Event-driven simulation of the preemptive uniform-priority multi-server queue.
 
-The simulator keeps the whole population in one ordered multiset (the
-:class:`PriorityRegistry`) and exploits memorylessness twice: the time to the
-next service completion is exponential at rate ``min(N, c)`` regardless of who
-is being served, and the completing customer is uniform over the in-service
-set. This is distribution-equal to racing per-customer unit-rate clocks (the
-slower construction lives in :mod:`uniprio.oracle` as an independent check)
-while touching only one clock per event.
+The simulator keeps the population as the model describes it: at most c
+customers in service, held in an ascending list, and a heap of waiting
+customers. It exploits memorylessness twice: the time to the next service
+completion is exponential at rate ``min(N, c)`` regardless of who is being
+served, and the completing customer is uniform over the in-service set. This
+is distribution-equal to racing per-customer unit-rate clocks (the slower
+construction lives in :mod:`uniprio.oracle` as an independent check) while
+touching only one clock per event.
 
 Observables follow the arrivals-see-time-averages route: immediately before
-each arrival is inserted, the sorted multiset of priorities present is
-recorded as a snapshot.
+each arrival joins, the sorted multiset of priorities present is recorded as
+a snapshot.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from bisect import insort
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from sortedcontainers import SortedList
-
 from .analytics import SystemParams
 
 __all__ = [
-    "PriorityRegistry",
     "CustomerRecord",
     "Snapshot",
     "SimConfig",
@@ -38,79 +38,6 @@ __all__ = [
     "write_snapshots_csv",
     "read_snapshots_csv",
 ]
-
-
-class PriorityRegistry:
-    """Ordered multiset of the customers in system, keyed for rank queries.
-
-    Entries are ordered ascending by ``(priority, -customer_id)``: between equal
-    priorities the earlier arrival ranks higher, so it wins the tie for a
-    server. All rank queries and mutations are O(log n). Each entry also
-    carries a display priority (the level after an optional quantile
-    transform) that tags along for logging but never affects the order.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self) -> None:
-        # (priority, -customer_id, display_priority)
-        self._items: SortedList = SortedList()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        """Yield (priority, customer_id) pairs, weakest first."""
-        for priority, neg_id, _ in self._items:
-            yield priority, -neg_id
-
-    def insert(self, priority: float, customer_id: int, display: float | None = None) -> int:
-        """Add a customer and return its ascending rank position."""
-        entry = (priority, -customer_id, priority if display is None else display)
-        self._items.add(entry)
-        return self._items.index(entry)
-
-    def remove(self, priority: float, customer_id: int) -> None:
-        """Remove one customer; raises KeyError if absent."""
-        idx = self._items.bisect_left((priority, -customer_id))
-        if idx < len(self._items):
-            entry = self._items[idx]
-            if entry[0] == priority and entry[1] == -customer_id:
-                del self._items[idx]
-                return
-        raise KeyError((priority, customer_id))
-
-    def count_gt(self, p: float) -> int:
-        """Number of customers with priority strictly above ``p``."""
-        return len(self._items) - self._items.bisect_left((p, math.inf))
-
-    def count_leq(self, p: float) -> int:
-        """Number of customers with priority at most ``p``."""
-        return self._items.bisect_left((p, math.inf))
-
-    def count_in(self, lo: float, hi: float) -> int:
-        """Number of customers with priority in the half-open band [lo, hi)."""
-        if lo > hi:
-            raise ValueError(f"band endpoints out of order: {lo} > {hi}")
-        return self._items.bisect_left((hi,)) - self._items.bisect_left((lo,))
-
-    def nth_highest(self, n: int) -> tuple[float, int]:
-        """The (priority, customer_id) pair ranked ``n`` from the top, 0-based."""
-        if not 0 <= n < len(self._items):
-            raise IndexError(f"rank {n} out of range for {len(self._items)} entries")
-        entry = self._items[len(self._items) - 1 - n]
-        return entry[0], -entry[1]
-
-    def pop_nth_highest(self, n: int) -> tuple[float, int]:
-        """Remove and return the pair ranked ``n`` from the top, 0-based."""
-        if not 0 <= n < len(self._items):
-            raise IndexError(f"rank {n} out of range for {len(self._items)} entries")
-        entry = self._items.pop(len(self._items) - 1 - n)
-        return entry[0], -entry[1]
-
-    def display_priorities(self) -> tuple[float, ...]:
-        """Display priorities of everyone present, ascending."""
-        return tuple(entry[2] for entry in self._items)
 
 
 class Snapshot(NamedTuple):
@@ -215,13 +142,13 @@ class SimTrace:
 class SimObserver:
     """Streaming hooks into a run; all default to no-ops.
 
-    ``on_snapshot`` fires immediately before each arrival is inserted (the
-    arriving customer is not yet present). ``on_insert`` and ``on_remove``
-    fire with the raw uniform priority whenever the population changes, so an
-    observer can mirror the registry contents without storing snapshots.
+    ``on_snapshot`` fires immediately before each arrival joins (the arriving
+    customer is not yet present). ``on_insert`` and ``on_remove`` fire with
+    the raw uniform priority whenever the population changes, so an observer
+    can mirror the population without storing snapshots.
     """
 
-    def on_snapshot(self, time: float, registry: PriorityRegistry) -> None:
+    def on_snapshot(self, time: float) -> None:
         pass
 
     def on_insert(self, priority: float) -> None:
@@ -264,7 +191,11 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
     horizon = config.horizon
     quantile = config.priority_quantile
 
-    registry = PriorityRegistry()
+    # In service: (level, -id, display), ascending, at most c entries.
+    # Waiting: a heap of (-level, id, display), strongest first. Both orders
+    # rank the earlier arrival higher between equal levels.
+    in_service: list[tuple[float, int, float]] = []
+    queue: list[tuple[float, int, float]] = []
     arrivals: list[float] = []
     displays: list[float] = []
     entered: list[float | None] = []
@@ -277,12 +208,10 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
     time = 0.0
     next_arrival = -math.log1p(-uniform()) / alpha
     while True:
-        population = len(registry)
-        if population:
-            busy = population if population < servers else servers
+        busy = len(in_service)
+        if busy:
             next_completion = time + (-math.log1p(-uniform()) / busy)
         else:
-            busy = 0
             next_completion = math.inf
 
         if next_arrival <= next_completion:
@@ -290,26 +219,35 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
                 break
             time = next_arrival
             if keep_snapshots:
-                snapshots.append(Snapshot(time, registry.display_priorities()))
+                # Every waiter ranks below every customer in service, and
+                # displays are a nondecreasing map of levels.
+                present = sorted([e[2] for e in queue])
+                present.extend([e[2] for e in in_service])
+                snapshots.append(Snapshot(time, tuple(present)))
             if observer is not None:
-                observer.on_snapshot(time, registry)
+                observer.on_snapshot(time)
             level = uniform()
             display = float(quantile(level)) if quantile is not None else level
             customer = len(arrivals)
-            position = registry.insert(level, customer, display)
+            entry = (level, -customer, display)
             arrivals.append(time)
             displays.append(display)
             departed.append(None)
             served.append(0.0)
-            # Top min(N, c) ascending positions start at len - servers.
-            if position >= len(registry) - servers:
+            if busy < servers:
+                insort(in_service, entry)
                 entered.append(time)
-                if population >= servers:
-                    # The house was full: the customer now ranked just below
-                    # the top c lost its server and closes its spell.
-                    _, displaced = registry.nth_highest(servers)
-                    served[displaced] += time - entered[displaced]
+            elif entry > in_service[0]:
+                # The house is full: the weakest customer in service loses
+                # its server, closes its spell and waits.
+                weakest, neg_displaced, weakest_display = in_service.pop(0)
+                displaced = -neg_displaced
+                served[displaced] += time - entered[displaced]
+                heappush(queue, (-weakest, displaced, weakest_display))
+                insort(in_service, entry)
+                entered.append(time)
             else:
+                heappush(queue, (-level, customer, display))
                 entered.append(None)
             if observer is not None:
                 observer.on_insert(level)
@@ -319,14 +257,15 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
             if next_completion > horizon:
                 break
             time = next_completion
-            promoted = -1
-            if population > servers:
-                # Removing anyone from service pulls the strongest waiter in.
-                _, promoted = registry.nth_highest(servers)
-            victim_level, victim = registry.pop_nth_highest(int(choose(busy)))
+            # The n-th highest in service sits at ascending index busy-1-n.
+            victim_level, neg_victim, _ = in_service.pop(busy - 1 - int(choose(busy)))
+            victim = -neg_victim
             departed[victim] = time
             served[victim] += time - entered[victim]
-            if promoted >= 0:
+            if queue:
+                # The freed server goes to the strongest waiter.
+                neg_level, promoted, promoted_display = heappop(queue)
+                insort(in_service, (-neg_level, -promoted, promoted_display))
                 entered[promoted] = time
             if observer is not None:
                 observer.on_remove(victim_level)
@@ -347,7 +286,7 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
         records=records,
         snapshots=tuple(snapshots),
         event_count=events,
-        final_population=len(registry),
+        final_population=len(in_service) + len(queue),
     )
 
 

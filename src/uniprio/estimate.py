@@ -18,12 +18,12 @@ import csv
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .analytics import INFINITY, ExtendedReal
-from .des import CustomerRecord, PriorityRegistry, SimObserver, Snapshot
+from .des import CustomerRecord, SimObserver, Snapshot
 
 __all__ = [
     "BinGrid",
@@ -31,9 +31,6 @@ __all__ = [
     "CurveEstimate",
     "DensityAccumulator",
     "RecordBinStats",
-    "estimate_density",
-    "estimate_sojourn",
-    "estimate_waiting",
     "evaluate",
     "write_curve_csv",
     "read_curve_csv",
@@ -165,7 +162,7 @@ class DensityAccumulator(SimObserver):
     def on_remove(self, priority: float) -> None:
         self._current[self.grid.index_of(priority)] -= 1
 
-    def on_snapshot(self, time: float, registry: PriorityRegistry | None = None) -> None:
+    def on_snapshot(self, time: float) -> None:
         if time >= self.start_time:
             self._sums += self._current
             self._snapshots += 1
@@ -280,36 +277,6 @@ class RecordBinStats:
             else:
                 values.append(ExtendedReal(sums[i] / self._departed[i]))
         return CurveEstimate(self.grid, tuple(values))
-
-
-def estimate_density(snapshots: Sequence[Snapshot], grid: BinGrid) -> CurveEstimate:
-    """Density curve from arrival snapshots.
-
-    Each bin's value is ``(1/delta)`` times the average, over snapshots, of the
-    number of priorities in the bin. All-empty snapshots give a well-defined
-    all-zero curve; an empty snapshot sequence is an error.
-    """
-    if len(snapshots) == 0:
-        raise ValueError("cannot estimate a density from zero snapshots")
-    return DensityAccumulator(grid).add_snapshots(snapshots).curve()
-
-
-def estimate_sojourn(
-    records: Iterable[CustomerRecord],
-    grid: BinGrid,
-    policy: CensoredPolicy = CensoredPolicy.INFINITE,
-) -> CurveEstimate:
-    """Mean time in system per priority bin, censoring handled per policy."""
-    return RecordBinStats(grid).add(records).sojourn_curve(policy)
-
-
-def estimate_waiting(
-    records: Iterable[CustomerRecord],
-    grid: BinGrid,
-    policy: CensoredPolicy = CensoredPolicy.INFINITE,
-) -> CurveEstimate:
-    """Mean time out of service per priority bin, censoring handled per policy."""
-    return RecordBinStats(grid).add(records).waiting_curve(policy)
 
 
 def write_curve_csv(curve: CurveEstimate, path) -> None:

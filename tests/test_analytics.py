@@ -25,7 +25,6 @@ from uniprio.analytics import (
     p0_derivative,
     p0_mass,
     priority_density,
-    quantile_transform,
     sojourn_time,
     stability_threshold,
     tail_pmf,
@@ -302,21 +301,6 @@ class TestMeanMeasure:
         whole = mean_measure(TWO_SERVER, lo, hi).finite
         split = mean_measure(TWO_SERVER, lo, mid).finite + mean_measure(TWO_SERVER, mid, hi).finite
         assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)
-
-
-class TestQuantileTransform:
-    def test_identity(self) -> None:
-        assert quantile_transform(lambda u: u, 0.37) == 0.37
-
-    def test_exponential_map(self) -> None:
-        q = lambda u: -math.log1p(-u)
-        assert quantile_transform(q, 0.5) == pytest.approx(math.log(2), rel=1e-15)
-
-    def test_preserves_order(self) -> None:
-        q = lambda u: -math.log1p(-u)
-        us = [0.05, 0.2, 0.8, 0.95]
-        mapped = [quantile_transform(q, u) for u in us]
-        assert mapped == sorted(mapped)
 
 
 @given(

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uniprio
 from uniprio.analytics import SystemParams
 from uniprio.des import (
     SimConfig,
@@ -126,6 +132,79 @@ class TestDeterminism:
         assert len(below.records) == len(at.records) - 1
 
 
+# SHA-256 of write_trace_csv bytes followed by write_snapshots_csv bytes. They
+# pin the documented draw order; a change to the random stream must update
+# them on purpose.
+GOLDEN_DIGESTS = [
+    (5.0, 2, 60.0, 3, "0e57428cbafc7b400e6e19053373f6d8268b6fbb6878a730a2961ffe0f4f2c54"),
+    (45.0, 50, 8.0, 4, "2ef5e6826feff24f1a1387b0c2235fbeeb3b88f10c2b68bd8e86a47dbe717a7b"),
+    (1.5, 2, 500.0, 2, "1a71d2c90e2bf864b3a2142cdab5a4de7017237944c66d48bb0a58e085d74a22"),
+    (0.5, 1, 300.0, 5, "559f2dee4b75fda4ba51a836200661198d262df45773ef69566f11f57555d9c1"),
+]
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("alpha, c, horizon, seed, digest", GOLDEN_DIGESTS)
+    def test_csv_bytes_are_pinned(self, tmp_path, alpha, c, horizon, seed, digest) -> None:
+        trace = simulate(SimConfig(SystemParams(alpha, c), horizon, seed))
+        write_trace_csv(trace.records, tmp_path / "trace.csv")
+        write_snapshots_csv(trace.snapshots, tmp_path / "snaps.csv")
+        data = (tmp_path / "trace.csv").read_bytes() + (tmp_path / "snaps.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _ranked(records, time, strictly_after):
+    """Customers present at ``time``, highest rank first.
+
+    A customer is present when it arrived before ``time`` and had not left
+    before it; ``strictly_after`` also drops the one leaving exactly then.
+    """
+    present = [
+        r
+        for r in records
+        if r.arrival_time < time
+        and (
+            r.departure_time is None
+            or r.departure_time > time
+            or (r.departure_time == time and not strictly_after)
+        )
+    ]
+    return sorted(present, key=lambda r: (r.priority, -r.customer_id), reverse=True)
+
+
+class TestDiscipline:
+    """The c highest-ranked customers present are the ones in service.
+
+    Rank is ``(priority, -customer_id)``: between equal priorities the earlier
+    arrival ranks higher.
+    """
+
+    @pytest.mark.parametrize(
+        "alpha, c, horizon, seed",
+        [(0.9, 1, 300.0, 7), (5.0, 2, 40.0, 8), (9.0, 10, 40.0, 9), (1.5, 2, 300.0, 10)],
+    )
+    def test_only_the_top_c_leave_and_freed_servers_go_to_the_strongest_waiter(
+        self, alpha, c, horizon, seed
+    ) -> None:
+        trace = simulate(SimConfig(SystemParams(alpha, c), horizon, seed))
+        records = trace.records
+        leaving = {r.departure_time: r for r in records if not r.is_censored}
+        for r in leaving.values():
+            ranked = _ranked(records, r.departure_time, strictly_after=False)
+            assert ranked.index(r) < min(len(ranked), c)
+        promoted = [
+            r
+            for r in records
+            if r.last_service_entry is not None and r.last_service_entry > r.arrival_time
+        ]
+        assert promoted
+        for r in promoted:
+            freed_by = leaving.get(r.last_service_entry)
+            assert freed_by is not None and freed_by is not r
+            ranked = _ranked(records, r.last_service_entry, strictly_after=True)
+            assert ranked.index(r) == c - 1
+
+
 class TestPriorityTransform:
     def test_event_times_are_invariant(self) -> None:
         plain = simulate(SimConfig(PARAMS, 300.0, 21))
@@ -155,7 +234,7 @@ class _Counter(SimObserver):
         self.inserts = 0
         self.removes = 0
 
-    def on_snapshot(self, time, registry) -> None:
+    def on_snapshot(self, time) -> None:
         self.snapshots += 1
 
     def on_insert(self, priority) -> None:
@@ -204,3 +283,13 @@ def test_single_server_mean_population_is_plausible() -> None:
     trace = simulate(SimConfig(SystemParams(0.5, 1), 4000.0, 51))
     mean_pop = np.mean([len(s.priorities) for s in trace.snapshots])
     assert 0.7 < mean_pop < 1.3
+
+
+def test_import_loads_no_sortedcontainers() -> None:
+    # A fresh interpreter, so modules other tests imported do not count.
+    code = "import sys, uniprio; print('sortedcontainers' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(uniprio.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -15,9 +15,6 @@ from uniprio.estimate import (
     CurveEstimate,
     DensityAccumulator,
     RecordBinStats,
-    estimate_density,
-    estimate_sojourn,
-    estimate_waiting,
     evaluate,
     read_curve_csv,
     write_curve_csv,
@@ -89,17 +86,17 @@ class TestDensityEstimation:
         # Bin width one half: counts 1 then 2 in the lower bin, so the
         # density there is (1/0.5) * mean = 2 * 1.5 = 3; upper bin stays 0.
         snaps = [Snapshot(0.4, (0.1,)), Snapshot(1.1, (0.1, 0.3))]
-        curve = estimate_density(snaps, BinGrid(0.5))
+        curve = DensityAccumulator(BinGrid(0.5)).add_snapshots(snaps).curve()
         assert curve.values[0] == ExtendedReal(3.0)
         assert curve.values[1] == ExtendedReal(0.0)
 
     def test_rejects_empty_input(self) -> None:
         with pytest.raises(ValueError):
-            estimate_density([], BinGrid(0.5))
+            DensityAccumulator(BinGrid(0.5)).add_snapshots([]).curve()
 
     def test_total_mass_matches_mean_population(self) -> None:
         trace = simulate(SimConfig(SystemParams(1.5, 2), 500.0, 8))
-        curve = estimate_density(trace.snapshots, GRID20)
+        curve = DensityAccumulator(GRID20).add_snapshots(trace.snapshots).curve()
         mass = sum(v.finite * 0.05 for v in curve.values)
         mean_pop = sum(len(s.priorities) for s in trace.snapshots) / len(trace.snapshots)
         assert mass == pytest.approx(mean_pop, rel=1e-12)
@@ -109,7 +106,7 @@ class TestDensityEstimation:
         streaming = DensityAccumulator(GRID20)
         trace_stream = simulate(cfg_stream, observer=streaming)
         trace_kept = simulate(SimConfig(SystemParams(1.5, 2), 400.0, 9))
-        offline = estimate_density(trace_kept.snapshots, GRID20)
+        offline = DensityAccumulator(GRID20).add_snapshots(trace_kept.snapshots).curve()
         assert streaming.snapshot_count == len(trace_kept.snapshots)
         assert streaming.curve().values == offline.values
         assert trace_stream.records == trace_kept.records
@@ -155,23 +152,25 @@ class TestDelayEstimation:
             record(2, 0.25, 2.0, None, None, None),  # censored, same bin
             record(3, 0.8, 2.0, None, None, None),  # censored, upper bin alone
         ]
-        infinite_s = estimate_sojourn(rs, grid, CensoredPolicy.INFINITE)
+        stats = RecordBinStats(grid).add(rs)
+        infinite_s = stats.sojourn_curve(CensoredPolicy.INFINITE)
         assert infinite_s.values[0] == INFINITY
         assert infinite_s.values[1] == INFINITY
-        excluded_s = estimate_sojourn(rs, grid, CensoredPolicy.EXCLUDE)
+        excluded_s = stats.sojourn_curve(CensoredPolicy.EXCLUDE)
         assert excluded_s.values[0] == ExtendedReal(4.0)
         assert excluded_s.values[1] is None  # nothing departed up there
 
     def test_empty_bin_is_undefined_under_both_policies(self) -> None:
         rs = [record(0, 0.2, 0.0, 1.0, 3.0, 2.0)]
         for policy in CensoredPolicy:
-            curve = estimate_sojourn(rs, BinGrid(0.5), policy)
+            curve = RecordBinStats(BinGrid(0.5)).add(rs).sojourn_curve(policy)
             assert curve.values[1] is None
 
     def test_policies_agree_on_censor_free_bins(self) -> None:
         trace = simulate(SimConfig(SystemParams(1.5, 2), 600.0, 12))
-        inf_curve = estimate_sojourn(trace.records, GRID20, CensoredPolicy.INFINITE)
-        exc_curve = estimate_sojourn(trace.records, GRID20, CensoredPolicy.EXCLUDE)
+        stats = RecordBinStats(GRID20).add(trace.records)
+        inf_curve = stats.sojourn_curve(CensoredPolicy.INFINITE)
+        exc_curve = stats.sojourn_curve(CensoredPolicy.EXCLUDE)
         assert any(v is not None and not v.is_finite for v in inf_curve.values) or all(
             a == b for a, b in zip(inf_curve.values, exc_curve.values)
         )
@@ -181,8 +180,9 @@ class TestDelayEstimation:
 
     def test_waiting_and_sojourn_relate(self) -> None:
         trace = simulate(SimConfig(SystemParams(1.5, 2), 600.0, 12))
-        soj = estimate_sojourn(trace.records, GRID20, CensoredPolicy.EXCLUDE)
-        wait = estimate_waiting(trace.records, GRID20, CensoredPolicy.EXCLUDE)
+        stats = RecordBinStats(GRID20).add(trace.records)
+        soj = stats.sojourn_curve(CensoredPolicy.EXCLUDE)
+        wait = stats.waiting_curve(CensoredPolicy.EXCLUDE)
         for s, w in zip(soj.values, wait.values):
             if s is not None:
                 assert w is not None
@@ -278,7 +278,7 @@ class TestCurveCsv:
 
     def test_round_trip_from_simulation(self, tmp_path) -> None:
         trace = simulate(SimConfig(SystemParams(1.5, 2), 300.0, 14))
-        curve = estimate_density(trace.snapshots, GRID20)
+        curve = DensityAccumulator(GRID20).add_snapshots(trace.snapshots).curve()
         path = tmp_path / "density.csv"
         write_curve_csv(curve, path)
         assert read_curve_csv(path).values == curve.values
