@@ -2,7 +2,8 @@
 
 Closed-form per-level analytics, an event-driven simulator, binned
 estimators for the simulated curves, and an experiment driver that puts
-the two side by side.
+the two side by side. The driver is not re-exported here: import it from
+``uniprio.cli``, which also runs as ``python -m uniprio.cli``.
 """
 
 from .analytics import (
@@ -44,6 +45,7 @@ from .estimate import (
     evaluate,
     read_curve_csv,
     write_curve_csv,
+    write_points_csv,
 )
 from .oracle import (
     BirthDeathSpec,
@@ -51,14 +53,6 @@ from .oracle import (
     default_truncation,
     finite_difference,
     reference_simulate,
-)
-from .cli import (
-    ComparisonReport,
-    ExperimentConfig,
-    ExperimentResult,
-    compare_curves,
-    replication_seed,
-    run_experiment,
 )
 
 __version__ = "0.1.0"
@@ -102,17 +96,11 @@ __all__ = [
     "evaluate",
     "read_curve_csv",
     "write_curve_csv",
+    "write_points_csv",
     # oracle
     "BirthDeathSpec",
     "birth_death_stationary",
     "default_truncation",
     "finite_difference",
     "reference_simulate",
-    # cli
-    "ComparisonReport",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "compare_curves",
-    "replication_seed",
-    "run_experiment",
 ]

@@ -21,9 +21,12 @@ All quantities in this module are derived from that subsystem:
 When ``alpha >= c`` there is a threshold level ``1 - c / alpha`` below which
 these quantities diverge; see :func:`stability_threshold`.
 
-Numerical policy: direct factorial evaluation up to ``c = 20`` servers, log-space
-(``lgamma`` plus log-sum-exp) beyond that. Stability is decided by the exact
-floating-point comparison ``(1 - p) * alpha < c`` with no epsilon guard.
+Numerical policy: every closed form reads the occupancy probabilities
+``pi_0 .. pi_c`` of that subsystem from one helper, which walks the balance
+recurrence ``w_k = w_(k-1) a / k`` and rescales the weights whenever one passes
+1e280, so no ``k!`` or ``a^k`` is ever formed and any server count works.
+Stability is decided by the exact floating-point comparison
+``(1 - p) * alpha < c`` with no epsilon guard.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ __all__ = [
     "mean_measure",
 ]
 
-# Above this server count, factorials and powers move to log space.
-_DIRECT_EVAL_MAX_SERVERS = 20
+# Occupancy weights are rescaled to 1 once one of them exceeds this.
+_RESCALE_ABOVE = 1e280
 
 
 class UnstableRegionError(ValueError):
@@ -188,25 +191,23 @@ def _require_stable(params: SystemParams, p: float) -> None:
         )
 
 
-def _log_sum_exp(terms: list[float]) -> float:
-    m = max(terms)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(t - m) for t in terms))
+def _occupancy(a: float, c: int) -> list[float]:
+    # pi_0 .. pi_c of M/M/c at offered load 0 < a < c; the states beyond c
+    # carry the geometric tail pi_c (a/c)^(k-c), summing to pi_c / g.
+    weights = [1.0]
+    for k in range(1, c + 1):
+        weight = weights[-1] * a / k
+        weights.append(weight)
+        if weight > _RESCALE_ABOVE:
+            weights = [w / weight for w in weights]
+    total = math.fsum(weights[:c]) + weights[c] / (1.0 - a / c)
+    return [w / total for w in weights]
 
 
-def _p0_direct(a: float, c: int) -> float:
-    # Normalizing constant of the M/M/c occupancy distribution, a < c.
-    total = sum(a**i / math.factorial(i) for i in range(c))
-    total += a**c / (math.factorial(c) * (1.0 - a / c))
-    return 1.0 / total
-
-
-def _log_p0(a: float, c: int) -> float:
-    la = math.log(a)
-    terms = [i * la - math.lgamma(i + 1) for i in range(c)]
-    terms.append(c * la - math.lgamma(c + 1) - math.log(1.0 - a / c))
-    return -_log_sum_exp(terms)
+def _slope_bracket(pi: list[float], g: float) -> float:
+    # P0' / (alpha P0) = sum_{j<=c-2} pi_j + pi_{c-1} / g + pi_c / (c g^2).
+    c = len(pi) - 1
+    return math.fsum(pi[: c - 1]) + pi[c - 1] / g + pi[c] / (c * g * g)
 
 
 def p0_mass(params: SystemParams, p: float) -> float:
@@ -226,9 +227,7 @@ def p0_mass(params: SystemParams, p: float) -> float:
     a = (1.0 - p) * params.alpha
     if a == 0.0:
         return 1.0
-    if params.c <= _DIRECT_EVAL_MAX_SERVERS:
-        return _p0_direct(a, params.c)
-    return math.exp(_log_p0(a, params.c))
+    return _occupancy(a, params.c)[0]
 
 
 def p0_derivative(params: SystemParams, p: float) -> float:
@@ -249,20 +248,8 @@ def p0_derivative(params: SystemParams, p: float) -> float:
     a = (1.0 - p) * alpha
     if a == 0.0:
         return alpha  # only the j = 0 term of the bracket survives
-    g = 1.0 - a / c
-    if c <= _DIRECT_EVAL_MAX_SERVERS:
-        p0 = _p0_direct(a, c)
-        bracket = sum(a**j / math.factorial(j) for j in range(c - 1))
-        bracket += a ** (c - 1) / (math.factorial(c - 1) * g)
-        bracket += a**c / (c * math.factorial(c) * g * g)
-        return (p0 * p0) * alpha * bracket
-    la = math.log(a)
-    lg = math.log(g)
-    terms = [j * la - math.lgamma(j + 1) for j in range(c - 1)]
-    terms.append((c - 1) * la - math.lgamma(c) - lg)
-    terms.append(c * la - math.log(c) - math.lgamma(c + 1) - 2.0 * lg)
-    log_p0 = _log_p0(a, c)
-    return math.exp(2.0 * log_p0 + math.log(alpha) + _log_sum_exp(terms))
+    pi = _occupancy(a, c)
+    return pi[0] * alpha * _slope_bracket(pi, 1.0 - a / c)
 
 
 def tail_pmf(params: SystemParams, p: float, k: int) -> float:
@@ -286,19 +273,10 @@ def tail_pmf(params: SystemParams, p: float, k: int) -> float:
     a = (1.0 - p) * alpha
     if a == 0.0:
         return 1.0 if k == 0 else 0.0
-    if c <= _DIRECT_EVAL_MAX_SERVERS:
-        p0 = _p0_direct(a, c)
-        if k == 0:
-            return p0
-        if k <= c:
-            return p0 * a**k / math.factorial(k)
-        return p0 * (a**c / math.factorial(c)) * (a / c) ** (k - c)
-    log_p0 = _log_p0(a, c)
-    la = math.log(a)
+    pi = _occupancy(a, c)
     if k <= c:
-        return math.exp(log_p0 + k * la - math.lgamma(k + 1))
-    log_tail = c * la - math.lgamma(c + 1) + (k - c) * (la - math.log(c))
-    return math.exp(log_p0 + log_tail)
+        return pi[k]
+    return pi[c] * (a / c) ** (k - c)
 
 
 def expected_tail_count(params: SystemParams, p: float) -> ExtendedReal:
@@ -320,18 +298,7 @@ def expected_tail_count(params: SystemParams, p: float) -> ExtendedReal:
     if a == 0.0:
         return ExtendedReal(0.0)
     g = 1.0 - a / c
-    if c <= _DIRECT_EVAL_MAX_SERVERS:
-        p0 = _p0_direct(a, c)
-        queue_part = a ** (c + 1) * p0 / (c * math.factorial(c) * g * g)
-    else:
-        queue_part = math.exp(
-            (c + 1) * math.log(a)
-            + _log_p0(a, c)
-            - math.log(c)
-            - math.lgamma(c + 1)
-            - 2.0 * math.log(g)
-        )
-    return ExtendedReal(a + queue_part)
+    return ExtendedReal(a + a * _occupancy(a, c)[c] / (c * g * g))
 
 
 def priority_density(params: SystemParams, p: float) -> ExtendedReal:
@@ -354,27 +321,15 @@ def priority_density(params: SystemParams, p: float) -> ExtendedReal:
     if a == 0.0:
         return ExtendedReal(alpha)
     g = 1.0 - a / c
-    slope = p0_derivative(params, p)
-    if c <= _DIRECT_EVAL_MAX_SERVERS:
-        p0 = _p0_direct(a, c)
-        cf = c * math.factorial(c)
-        ac = a**c
-        density = (
-            alpha
-            + ((c + 1) * alpha * ac * p0 - a * ac * slope) / (cf * g * g)
-            + 2.0 * a * ac * p0 * (alpha / c) / (cf * g * g * g)
-        )
-    else:
-        la = math.log(a)
-        lg = math.log(g)
-        log_p0 = _log_p0(a, c)
-        log_cf = math.log(c) + math.lgamma(c + 1)
-        first = math.exp(math.log((c + 1) * alpha) + c * la + log_p0 - log_cf - 2.0 * lg)
-        second = math.exp((c + 1) * la + math.log(slope) - log_cf - 2.0 * lg)
-        third = math.exp(
-            math.log(2.0 * alpha / c) + (c + 1) * la + log_p0 - log_cf - 3.0 * lg
-        )
-        density = alpha + first - second + third
+    pi = _occupancy(a, c)
+    # P0' / P0, never formed as a quotient: P0 may underflow for large c.
+    log_slope = alpha * _slope_bracket(pi, g)
+    pi_c = pi[c]
+    density = (
+        alpha
+        + ((c + 1) * alpha * pi_c - a * pi_c * log_slope) / (c * g * g)
+        + 2.0 * a * pi_c * alpha / (c * c * g * g * g)
+    )
     return ExtendedReal(density)
 
 

@@ -36,6 +36,7 @@ from .estimate import (
     DensityAccumulator,
     RecordBinStats,
     write_curve_csv,
+    write_points_csv,
 )
 
 __all__ = [
@@ -51,7 +52,9 @@ __all__ = [
 ]
 
 PRESETS: dict[str, dict] = {
-    "stable-paper": {"alpha": 1.5, "servers": 2, "delta": 0.05, "horizon": 2000.0},
+    # Every level is stable, so a customer still present at the horizon is
+    # dropped rather than made to mark its bin infinite.
+    "stable-paper": {"alpha": 1.5, "servers": 2, "delta": 0.05, "horizon": 2000.0, "policy": "exclude"},
     "unstable-paper": {"alpha": 5.0, "servers": 2, "delta": 0.05, "horizon": 2000.0},
 }
 
@@ -280,7 +283,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     points = [i / (config.curve_resolution - 1) for i in range(config.curve_resolution)]
     for name, fn in analytic_fns.items():
         path = out / f"analytic_{name}.csv"
-        _write_function_csv(path, points, fn)
+        write_points_csv(points, [fn(p) for p in points], path)
         artifacts[f"analytic_{name}"] = path
 
     regime = stability_threshold(params)
@@ -323,17 +326,6 @@ def _config_dict(config: ExperimentConfig) -> dict:
         "warmup_fraction": config.warmup_fraction,
         "curve_resolution": config.curve_resolution,
     }
-
-
-def _write_function_csv(path: Path, points: list[float], fn: Callable[[float], ExtendedReal]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["p", "value"])
-        for p in points:
-            value = fn(p)
-            writer.writerow([repr(p), "inf" if not value.is_finite else repr(value.value)])
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -32,6 +32,7 @@ __all__ = [
     "DensityAccumulator",
     "RecordBinStats",
     "evaluate",
+    "write_points_csv",
     "write_curve_csv",
     "read_curve_csv",
 ]
@@ -279,12 +280,12 @@ class RecordBinStats:
         return CurveEstimate(self.grid, tuple(values))
 
 
-def write_curve_csv(curve: CurveEstimate, path) -> None:
-    """One row per bin center; infinity renders as ``inf``, no data as empty."""
+def write_points_csv(points: Iterable[float], values: Iterable[ExtendedReal | None], path) -> None:
+    """One ``p,value`` row per point; infinity renders as ``inf``, no data as empty."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["p", "value"])
-        for p, v in zip(curve.grid.centers, curve.values):
+        for p, v in zip(points, values):
             if v is None:
                 cell = ""
             elif not v.is_finite:
@@ -292,6 +293,11 @@ def write_curve_csv(curve: CurveEstimate, path) -> None:
             else:
                 cell = repr(v.value)
             writer.writerow([repr(p), cell])
+
+
+def write_curve_csv(curve: CurveEstimate, path) -> None:
+    """One row per bin center, in the cell format of :func:`write_points_csv`."""
+    write_points_csv(curve.grid.centers, curve.values, path)
 
 
 def read_curve_csv(path) -> CurveEstimate:

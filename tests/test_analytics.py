@@ -161,7 +161,7 @@ class TestTailPmf:
         for k in range(0, 30):
             assert tail_pmf(params, p, k) == pytest.approx(pi[k], rel=1e-12, abs=1e-300)
 
-    @pytest.mark.parametrize("alpha,c", [(18.0, 25), (30.0, 50)])
+    @pytest.mark.parametrize("alpha,c", [(18.0, 25), (30.0, 50), (1500.0, 2000)])
     def test_many_server_path_matches_oracle(self, alpha: float, c: int) -> None:
         pi = birth_death_stationary(BirthDeathSpec(alpha, c, default_truncation(alpha, c)))
         params = SystemParams(alpha, c)
@@ -219,7 +219,7 @@ class TestPriorityDensity:
             a = (1 - p) * 0.5
             assert priority_density(ONE_SERVER, p).finite == pytest.approx(0.5 / (1 - a) ** 2, rel=1e-13)
 
-    @pytest.mark.parametrize("alpha,c", [(1.5, 2), (2.4, 3), (0.5, 1), (18.0, 25)])
+    @pytest.mark.parametrize("alpha,c", [(1.5, 2), (2.4, 3), (0.5, 1), (18.0, 25), (1990.0, 2000)])
     @pytest.mark.parametrize("p", [0.05, 0.45, 0.9])
     def test_is_negated_slope_of_tail_mean(self, alpha: float, c: int, p: float) -> None:
         params = SystemParams(alpha, c)

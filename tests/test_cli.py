@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import uniprio
 from uniprio.analytics import INFINITY, ExtendedReal, SystemParams, priority_density
 from uniprio.cli import (
     ExperimentConfig,
@@ -99,7 +103,7 @@ class TestRunExperiment:
         lines = (result.output_dir / "analytic_density.csv").read_text().splitlines()
         assert len(lines) == 12  # header plus the requested points
         assert lines[1].startswith("0.0,")
-        assert lines[-1].startswith("1.0,")
+        assert lines[-1] == "1.0,1.5"  # the density is exactly alpha at the top level
 
     def test_unstable_summary_marks_infinities(self, tmp_path) -> None:
         cfg = tiny_config(tmp_path / "out", params=SystemParams(5.0, 2), horizon=40.0)
@@ -108,6 +112,8 @@ class TestRunExperiment:
         density_bins = summary["curves"]["density"]["bins"]
         assert density_bins[0]["analytic"] == "inf"
         assert density_bins[-1]["analytic"] != "inf"
+        lines = (tmp_path / "out" / "analytic_density.csv").read_text().splitlines()
+        assert lines[1] == "0.0,inf"
 
     def test_byte_determinism(self, tmp_path) -> None:
         a = run_experiment(tiny_config(tmp_path / "a"))
@@ -189,6 +195,16 @@ class TestMain:
         assert summary["config"]["delta"] == 0.05
         assert summary["p_star"] == 0.6
 
+    def test_stable_preset_has_no_finiteness_mismatches(self, tmp_path) -> None:
+        # Every level is stable, so no bin may be marked infinite just because
+        # a customer was still present at the horizon.
+        out = tmp_path / "run"
+        main(["--preset", "stable-paper", "--out", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["policy"] == "exclude"
+        for name in ("density", "sojourn", "waiting"):
+            assert summary["curves"][name]["mismatched"] == 0
+
     def test_config_file(self, tmp_path) -> None:
         cfg = {"alpha": 0.5, "servers": 1, "horizon": 25.0, "delta": 0.5,
                "seed": 4, "out": str(tmp_path / "run")}
@@ -233,3 +249,15 @@ def test_presets_are_self_consistent() -> None:
                        "out": "x"}, **preset}
         config = build_config(settings)
         assert config.horizon == preset["horizon"]
+
+
+def test_module_entry_point_runs_without_runtime_warning() -> None:
+    # The package must not import uniprio.cli, or runpy warns that the module
+    # it is about to execute as __main__ is already in sys.modules.
+    env = {**os.environ, "PYTHONPATH": str(Path(uniprio.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "uniprio.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "RuntimeWarning" not in result.stderr
