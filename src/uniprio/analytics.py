@@ -311,26 +311,14 @@ def priority_density(params: SystemParams, p: float) -> ExtendedReal:
         alpha + [ (c+1) alpha a^c P0 - a^(c+1) P0' ] / (c c! g^2)
               + 2 a^(c+1) P0 (alpha/c) / (c c! g^3)
 
-    Returns +infinity on the unstable side, and exactly ``alpha`` at ``p = 1``.
+    That is ``alpha (1 + W)`` with ``W`` the :func:`waiting_time`, which holds
+    the bracketed terms. Returns +infinity on the unstable side, and exactly
+    ``alpha`` at ``p = 1``.
     """
-    p = _check_level(p)
-    if not is_stable(params, p):
+    waiting = waiting_time(params, p)
+    if not waiting.is_finite:
         return INFINITY
-    alpha, c = params.alpha, params.c
-    a = (1.0 - p) * alpha
-    if a == 0.0:
-        return ExtendedReal(alpha)
-    g = 1.0 - a / c
-    pi = _occupancy(a, c)
-    # P0' / P0, never formed as a quotient: P0 may underflow for large c.
-    log_slope = alpha * _slope_bracket(pi, g)
-    pi_c = pi[c]
-    density = (
-        alpha
-        + ((c + 1) * alpha * pi_c - a * pi_c * log_slope) / (c * g * g)
-        + 2.0 * a * pi_c * alpha / (c * c * g * g * g)
-    )
-    return ExtendedReal(density)
+    return ExtendedReal(params.alpha + params.alpha * waiting.value)
 
 
 def sojourn_time(params: SystemParams, p: float) -> ExtendedReal:
@@ -350,12 +338,21 @@ def waiting_time(params: SystemParams, p: float) -> ExtendedReal:
 
     One mean service shorter than :func:`sojourn_time`. Preempted spells count
     as waiting, so this is the total out-of-service time, not the delay before
-    first service. +infinity on the unstable side, 0 at ``p = 1``.
+    first service. +infinity on the unstable side, 0 at ``p = 1``. Computed
+    from the occupancy, not as ``sojourn - 1``, so it keeps its relative
+    precision however small it is.
     """
-    sojourn = sojourn_time(params, p)
-    if not sojourn.is_finite:
+    p = _check_level(p)
+    if not is_stable(params, p):
         return INFINITY
-    return ExtendedReal(sojourn.value - 1.0)
+    c, a = params.c, (1.0 - p) * params.alpha
+    if a == 0.0:
+        return ExtendedReal(0.0)
+    g = 1.0 - a / c
+    pi = _occupancy(a, c)
+    # P0' / P0 enters through _slope_bracket, never as a quotient: P0 may underflow.
+    bracket = ((c + 1) - a * _slope_bracket(pi, g)) / (c * g * g) + 2.0 * a / (c * c * g * g * g)
+    return ExtendedReal(pi[c] * bracket)
 
 
 def mean_measure(params: SystemParams, a: float, b: float) -> ExtendedReal:

@@ -16,7 +16,9 @@ import argparse
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -28,7 +30,7 @@ from .analytics import (
     stability_threshold,
     waiting_time,
 )
-from .des import SimConfig, SimTrace, simulate, write_snapshots_csv, write_trace_csv
+from .des import SimConfig, simulate, write_snapshots_csv, write_trace_csv
 from .estimate import (
     BinGrid,
     CensoredPolicy,
@@ -217,8 +219,16 @@ def replication_seed(base_seed: int, replication: int) -> int:
     return base_seed + replication
 
 
-def _run_replication(alpha: float, servers: int, horizon: float, seed: int) -> SimTrace:
-    return simulate(SimConfig(SystemParams(alpha, servers), horizon, seed))
+def _replicate(config: ExperimentConfig, r: int) -> tuple[DensityAccumulator, RecordBinStats, int]:
+    """Simulate, write and reduce replication ``r``; its trace never leaves this call."""
+    out = config.output_dir
+    start_time = config.warmup_fraction * config.horizon
+    trace = simulate(SimConfig(config.params, config.horizon, replication_seed(config.seed, r)))
+    write_trace_csv(trace.records, out / f"trace_rep{r:03d}.csv")
+    write_snapshots_csv(trace.snapshots, out / f"snapshots_rep{r:03d}.csv")
+    density = DensityAccumulator(config.grid, start_time).add_snapshots(trace.snapshots)
+    delays = RecordBinStats(config.grid).add(trace.records, start_time)
+    return density, delays, len(trace.records)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -228,42 +238,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ``trace_repNNN.csv`` and ``snapshots_repNNN.csv``, pooled
     ``estimate_{density,sojourn,waiting}.csv``, dense
     ``analytic_{density,sojourn,waiting}.csv`` at ``curve_resolution`` points,
-    and ``summary.json``. Replications may run in worker processes; all file
-    writes happen here, in the parent, and the summary is assembled only after
-    every replication has been folded in.
+    and ``summary.json``. Each replication is simulated, written and reduced
+    where it runs: in this process when ``workers == 1``, otherwise in a
+    worker process. The reductions are merged in replication order, so the
+    pooled files and the summary do not depend on the worker count.
     """
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     params = config.params
-    grid = config.grid
-    start_time = config.warmup_fraction * config.horizon
 
-    density = DensityAccumulator(grid, start_time=start_time)
-    delays = RecordBinStats(grid)
+    density = DensityAccumulator(config.grid)
+    delays = RecordBinStats(config.grid)
     artifacts: dict[str, Path] = {}
     customers = 0
 
-    run_args = [
-        (params.alpha, params.c, config.horizon, replication_seed(config.seed, r))
-        for r in range(config.replications)
-    ]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            traces = pool.map(_run_replication, *zip(*run_args))
-            traces = list(traces)
-    else:
-        traces = [_run_replication(*args) for args in run_args]
-
-    for r, trace in enumerate(traces):
-        trace_path = out / f"trace_rep{r:03d}.csv"
-        snaps_path = out / f"snapshots_rep{r:03d}.csv"
-        write_trace_csv(trace.records, trace_path)
-        write_snapshots_csv(trace.snapshots, snaps_path)
-        artifacts[f"trace_rep{r:03d}"] = trace_path
-        artifacts[f"snapshots_rep{r:03d}"] = snaps_path
-        density.add_snapshots(trace.snapshots)
-        delays.add(trace.records, start_time=start_time)
-        customers += len(trace.records)
+    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
+        replicate = map if pool is None else pool.map
+        results = replicate(_replicate, repeat(config), range(config.replications))
+        for r, (rep_density, rep_delays, rep_customers) in enumerate(results):
+            for kind in ("trace", "snapshots"):
+                artifacts[f"{kind}_rep{r:03d}"] = out / f"{kind}_rep{r:03d}.csv"
+            density.merge(rep_density)
+            delays.merge(rep_delays)
+            customers += rep_customers
 
     curves = {
         "density": density.curve(),
@@ -371,18 +368,26 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _integer(settings: Mapping, key: str) -> int:
+    # JSON may spell 2 as 2.0; 2.7, true and "2" are refused rather than truncated.
+    value = settings[key]
+    if type(value) not in (int, float) or type(value) is float and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_config(settings: Mapping) -> ExperimentConfig:
     return ExperimentConfig(
-        params=SystemParams(float(settings["alpha"]), int(settings["servers"])),
+        params=SystemParams(float(settings["alpha"]), _integer(settings, "servers")),
         horizon=float(settings["horizon"]),
         delta=float(settings["delta"]),
-        seed=int(settings["seed"]),
+        seed=_integer(settings, "seed"),
         output_dir=Path(settings["out"]),
-        replications=int(settings["replications"]),
+        replications=_integer(settings, "replications"),
         censored_policy=CensoredPolicy(settings["policy"]),
         warmup_fraction=float(settings["warmup"]),
-        curve_resolution=int(settings["resolution"]),
-        workers=int(settings["workers"]),
+        curve_resolution=_integer(settings, "resolution"),
+        workers=_integer(settings, "workers"),
     )
 
 

@@ -254,10 +254,6 @@ class RecordBinStats:
     def censored_total(self) -> int:
         return int(self._censored.sum())
 
-    def departed_count(self, i: int) -> int:
-        """Departed customers tallied in bin ``i``."""
-        return int(self._departed[i])
-
     def censored_count(self, i: int) -> int:
         """Customers still present at the horizon tallied in bin ``i``."""
         return int(self._censored[i])

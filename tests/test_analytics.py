@@ -247,7 +247,8 @@ class TestDelayCurves:
             s = sojourn_time(TWO_SERVER, p).finite
             w = waiting_time(TWO_SERVER, p).finite
             assert s == pytest.approx(m / 1.5, rel=1e-15)
-            assert w == s - 1.0
+            # Waiting is computed directly, not as s - 1, so they agree to a few ulp.
+            assert abs(w - (s - 1.0)) <= 8 * math.ulp(s)
 
     def test_top_of_range(self) -> None:
         assert sojourn_time(TWO_SERVER, 1.0).finite == 1.0
@@ -256,6 +257,18 @@ class TestDelayCurves:
     def test_waiting_never_negative(self) -> None:
         for p in [0.9, 0.99, 0.999, 1.0]:
             assert waiting_time(TWO_SERVER, p).finite >= 0.0
+
+    @pytest.mark.parametrize(
+        "params, p, expected",
+        [
+            # 60-digit mpmath evaluations of the same closed form, computed offline.
+            (SystemParams(45.0, 50), 0.9, 1.885685666893355170575415e-34),
+            (TWO_SERVER, 0.999, 1.687501582032498848118179e-06),
+        ],
+    )
+    def test_small_waiting_keeps_relative_precision(self, params, p, expected) -> None:
+        # sojourn - 1 gives 0.0 in the first case and is off by 3.8e-12 relative in the second.
+        assert waiting_time(params, p).finite == pytest.approx(expected, rel=4e-15, abs=0.0)
 
     def test_infinite_when_unstable(self) -> None:
         assert sojourn_time(SystemParams(5.0, 2), 0.1) == INFINITY

@@ -22,8 +22,14 @@ from uniprio.cli import (
     replication_seed,
     run_experiment,
 )
-from uniprio.des import read_trace_csv
-from uniprio.estimate import BinGrid, CensoredPolicy, CurveEstimate, read_curve_csv
+from uniprio.des import read_snapshots_csv, read_trace_csv
+from uniprio.estimate import (
+    BinGrid,
+    CensoredPolicy,
+    CurveEstimate,
+    DensityAccumulator,
+    read_curve_csv,
+)
 
 
 def tiny_config(out: Path, **overrides) -> ExperimentConfig:
@@ -122,11 +128,30 @@ class TestRunExperiment:
             path_b = b.output_dir / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
 
-    def test_workers_do_not_change_results(self, tmp_path) -> None:
-        seq = run_experiment(tiny_config(tmp_path / "seq", horizon=30.0))
-        par = run_experiment(tiny_config(tmp_path / "par", horizon=30.0, workers=2))
-        for path_a in sorted(seq.output_dir.iterdir()):
-            assert path_a.read_bytes() == (par.output_dir / path_a.name).read_bytes()
+    def test_workers_do_not_change_results(self, tmp_path, monkeypatch) -> None:
+        seq = run_experiment(tiny_config(tmp_path / "seq", horizon=30.0, replications=5))
+        merged = []
+        merge = DensityAccumulator.merge
+
+        def recording_merge(self, other):
+            merged.append(other.curve())
+            return merge(self, other)
+
+        monkeypatch.setattr(DensityAccumulator, "merge", recording_merge)
+        par = run_experiment(tiny_config(tmp_path / "par", horizon=30.0, replications=5, workers=3))
+        names = sorted(p.name for p in seq.output_dir.iterdir())
+        assert names == sorted(p.name for p in par.output_dir.iterdir())
+        for name in names:
+            assert (seq.output_dir / name).read_bytes() == (par.output_dir / name).read_bytes()
+        # The parent merges each replication's density in replication order.
+        own = [
+            DensityAccumulator(BinGrid(0.25))
+            .add_snapshots(read_snapshots_csv(par.output_dir / f"snapshots_rep{r:03d}.csv"))
+            .curve()
+            for r in range(5)
+        ]
+        assert len(set(own)) == 5  # distinct, so any reordering would show
+        assert merged == own
 
     def test_warmup_drops_early_data(self, tmp_path) -> None:
         cold = run_experiment(tiny_config(tmp_path / "cold"))
@@ -222,6 +247,26 @@ class TestMain:
         main(["--config", str(cfg_path), "--alpha", "0.8", "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["alpha"] == 0.8
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("servers", 2.7), ("replications", True), ("seed", "4"), ("resolution", 11.5), ("workers", False)],
+    )
+    def test_config_file_rejects_non_integer_counts(self, tmp_path, capsys, key, value) -> None:
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--horizon", "10", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2  # parser.error
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_file_accepts_integral_floats(self, tmp_path) -> None:
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"servers": 2.0, "horizon": 10.0, "delta": 0.5}))
+        main(["--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["config"]["servers"] == 2
 
     def test_unknown_config_key_fails(self, tmp_path) -> None:
         cfg_path = tmp_path / "exp.json"
