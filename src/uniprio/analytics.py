@@ -183,16 +183,8 @@ def _check_level(p: float) -> float:
     return p
 
 
-def _require_stable(params: SystemParams, p: float) -> None:
-    if not is_stable(params, p):
-        raise UnstableRegionError(
-            f"no steady state at level p={p} for alpha={params.alpha}, c={params.c}: "
-            f"thinned arrival rate {(1.0 - p) * params.alpha} is not below {params.c}"
-        )
-
-
 def _occupancy(a: float, c: int) -> list[float]:
-    # pi_0 .. pi_c of M/M/c at offered load 0 < a < c; the states beyond c
+    # pi_0 .. pi_c of M/M/c at offered load 0 <= a < c; the states beyond c
     # carry the geometric tail pi_c (a/c)^(k-c), summing to pi_c / g.
     weights = [1.0]
     for k in range(1, c + 1):
@@ -210,6 +202,21 @@ def _slope_bracket(pi: list[float], g: float) -> float:
     return math.fsum(pi[: c - 1]) + pi[c - 1] / g + pi[c] / (c * g * g)
 
 
+def _tail(params: SystemParams, p: float, strict: bool = True) -> tuple[float, list[float]] | None:
+    # The load a = (1 - p) alpha above level p and its occupancy pi_0 .. pi_c.
+    # Where no steady state exists this raises, or returns None if not strict.
+    p = _check_level(p)
+    if not is_stable(params, p):
+        if not strict:
+            return None
+        raise UnstableRegionError(
+            f"no steady state at level p={p} for alpha={params.alpha}, c={params.c}: "
+            f"thinned arrival rate {(1.0 - p) * params.alpha} is not below {params.c}"
+        )
+    a = (1.0 - p) * params.alpha
+    return a, _occupancy(a, params.c)
+
+
 def p0_mass(params: SystemParams, p: float) -> float:
     """Stationary probability that no customer with level above ``p`` is present.
 
@@ -222,12 +229,7 @@ def p0_mass(params: SystemParams, p: float) -> float:
         UnstableRegionError: when ``(1 - p) * alpha >= c``.
         ValueError: when ``p`` is outside [0, 1].
     """
-    p = _check_level(p)
-    _require_stable(params, p)
-    a = (1.0 - p) * params.alpha
-    if a == 0.0:
-        return 1.0
-    return _occupancy(a, params.c)[0]
+    return _tail(params, p)[1][0]
 
 
 def p0_derivative(params: SystemParams, p: float) -> float:
@@ -242,14 +244,8 @@ def p0_derivative(params: SystemParams, p: float) -> float:
 
     For a single server this collapses to ``alpha`` at every stable level.
     """
-    p = _check_level(p)
-    _require_stable(params, p)
-    alpha, c = params.alpha, params.c
-    a = (1.0 - p) * alpha
-    if a == 0.0:
-        return alpha  # only the j = 0 term of the bracket survives
-    pi = _occupancy(a, c)
-    return pi[0] * alpha * _slope_bracket(pi, 1.0 - a / c)
+    a, pi = _tail(params, p)
+    return pi[0] * params.alpha * _slope_bracket(pi, 1.0 - a / params.c)
 
 
 def tail_pmf(params: SystemParams, p: float, k: int) -> float:
@@ -263,17 +259,12 @@ def tail_pmf(params: SystemParams, p: float, k: int) -> float:
         UnstableRegionError: when ``(1 - p) * alpha >= c`` (the count is then
             almost surely infinite and no pmf exists).
     """
-    p = _check_level(p)
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    _require_stable(params, p)
-    alpha, c = params.alpha, params.c
-    a = (1.0 - p) * alpha
-    if a == 0.0:
-        return 1.0 if k == 0 else 0.0
-    pi = _occupancy(a, c)
+    a, pi = _tail(params, p)
+    c = params.c
     if k <= c:
         return pi[k]
     return pi[c] * (a / c) ** (k - c)
@@ -290,15 +281,13 @@ def expected_tail_count(params: SystemParams, p: float) -> ExtendedReal:
         >>> expected_tail_count(SystemParams(alpha=1.5, c=2), 1.0)
         ExtendedReal(0.0)
     """
-    p = _check_level(p)
-    if not is_stable(params, p):
+    tail = _tail(params, p, strict=False)
+    if tail is None:
         return INFINITY
-    alpha, c = params.alpha, params.c
-    a = (1.0 - p) * alpha
-    if a == 0.0:
-        return ExtendedReal(0.0)
+    a, pi = tail
+    c = params.c
     g = 1.0 - a / c
-    return ExtendedReal(a + a * _occupancy(a, c)[c] / (c * g * g))
+    return ExtendedReal(a + a * pi[c] / (c * g * g))
 
 
 def priority_density(params: SystemParams, p: float) -> ExtendedReal:
@@ -342,14 +331,12 @@ def waiting_time(params: SystemParams, p: float) -> ExtendedReal:
     from the occupancy, not as ``sojourn - 1``, so it keeps its relative
     precision however small it is.
     """
-    p = _check_level(p)
-    if not is_stable(params, p):
+    tail = _tail(params, p, strict=False)
+    if tail is None:
         return INFINITY
-    c, a = params.c, (1.0 - p) * params.alpha
-    if a == 0.0:
-        return ExtendedReal(0.0)
+    a, pi = tail
+    c = params.c
     g = 1.0 - a / c
-    pi = _occupancy(a, c)
     # P0' / P0 enters through _slope_bracket, never as a quotient: P0 may underflow.
     bracket = ((c + 1) - a * _slope_bracket(pi, g)) / (c * g * g) + 2.0 * a / (c * c * g * g * g)
     return ExtendedReal(pi[c] * bracket)

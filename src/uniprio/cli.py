@@ -44,8 +44,6 @@ from .estimate import (
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
-    "BinComparison",
-    "ComparisonReport",
     "PRESETS",
     "replication_seed",
     "run_experiment",
@@ -90,6 +88,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
+        for name in ("seed", "replications", "curve_resolution", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         BinGrid(self.delta)  # validates the bin width
         if self.horizon <= 0.0 or not math.isfinite(self.horizon):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
@@ -107,53 +109,6 @@ class ExperimentConfig:
         return BinGrid(self.delta)
 
 
-@dataclass(frozen=True)
-class BinComparison:
-    """One bin center: the analytic value against the pooled estimate."""
-
-    p: float
-    analytic: ExtendedReal
-    estimate: ExtendedReal | None
-    abs_error: float | None
-    rel_error: float | None
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Bin-by-bin agreement between an estimated curve and an analytic one.
-
-    Errors are defined only where both sides are finite. ``mismatched`` counts
-    bins whose finiteness classification disagrees (an undefined estimate
-    disagrees with everything).
-    """
-
-    bins: tuple[BinComparison, ...]
-    both_finite: int
-    both_infinite: int
-    mismatched: int
-    mean_rel_error: float | None
-    max_rel_error: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "bins": [
-                {
-                    "p": b.p,
-                    "analytic": _json_value(b.analytic),
-                    "estimate": _json_value(b.estimate),
-                    "abs_error": b.abs_error,
-                    "rel_error": b.rel_error,
-                }
-                for b in self.bins
-            ],
-            "both_finite": self.both_finite,
-            "both_infinite": self.both_infinite,
-            "mismatched": self.mismatched,
-            "mean_rel_error": self.mean_rel_error,
-            "max_rel_error": self.max_rel_error,
-        }
-
-
 def _json_value(v: ExtendedReal | None):
     if v is None:
         return None
@@ -162,25 +117,20 @@ def _json_value(v: ExtendedReal | None):
     return v.value
 
 
-def compare_curves(
-    estimate: CurveEstimate,
-    analytic_fn: Callable[[float], ExtendedReal | float],
-    stable_region_only: bool = False,
-) -> ComparisonReport:
+def compare_curves(estimate: CurveEstimate, analytic_fn: Callable[[float], ExtendedReal]) -> dict:
     """Score an estimated curve against an analytic function at bin centers.
 
-    ``stable_region_only=True`` drops bins whose analytic value is infinite,
-    restricting the report to the stable band.
+    Returns the per-curve report that ``summary.json`` holds: ``bins``, one
+    entry per bin center, then the bin counts and the relative errors. Errors
+    are defined only where both sides are finite. ``mismatched`` counts bins
+    whose finiteness classification disagrees (an undefined estimate
+    disagrees with everything).
     """
-    bins: list[BinComparison] = []
+    bins: list[dict] = []
     both_finite = both_infinite = mismatched = 0
     rel_errors: list[float] = []
     for p, est in zip(estimate.grid.centers, estimate.values):
         analytic = analytic_fn(p)
-        if not isinstance(analytic, ExtendedReal):
-            analytic = ExtendedReal(float(analytic))
-        if stable_region_only and not analytic.is_finite:
-            continue
         abs_error = rel_error = None
         if est is not None and analytic.is_finite and est.is_finite:
             both_finite += 1
@@ -192,15 +142,23 @@ def compare_curves(
             both_infinite += 1
         else:
             mismatched += 1
-        bins.append(BinComparison(p, analytic, est, abs_error, rel_error))
-    return ComparisonReport(
-        bins=tuple(bins),
-        both_finite=both_finite,
-        both_infinite=both_infinite,
-        mismatched=mismatched,
-        mean_rel_error=sum(rel_errors) / len(rel_errors) if rel_errors else None,
-        max_rel_error=max(rel_errors) if rel_errors else None,
-    )
+        bins.append(
+            {
+                "p": p,
+                "analytic": _json_value(analytic),
+                "estimate": _json_value(est),
+                "abs_error": abs_error,
+                "rel_error": rel_error,
+            }
+        )
+    return {
+        "bins": bins,
+        "both_finite": both_finite,
+        "both_infinite": both_infinite,
+        "mismatched": mismatched,
+        "mean_rel_error": sum(rel_errors) / len(rel_errors) if rel_errors else None,
+        "max_rel_error": max(rel_errors) if rel_errors else None,
+    }
 
 
 @dataclass(frozen=True)
@@ -295,10 +253,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             "censored": delays.censored_total,
             "snapshots": density.snapshot_count,
         },
-        "curves": {
-            name: compare_curves(curve, analytic_fns[name]).to_dict()
-            for name, curve in curves.items()
-        },
+        "curves": {name: compare_curves(curve, analytic_fns[name]) for name, curve in curves.items()},
         "artifacts": {name: path.name for name, path in artifacts.items()},
     }
     summary_path = out / "summary.json"
@@ -368,6 +323,14 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _real(settings: Mapping, key: str) -> float:
+    # true and "1.5" are refused rather than coerced.
+    value = settings[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(settings: Mapping, key: str) -> int:
     # JSON may spell 2 as 2.0; 2.7, true and "2" are refused rather than truncated.
     value = settings[key]
@@ -378,14 +341,14 @@ def _integer(settings: Mapping, key: str) -> int:
 
 def build_config(settings: Mapping) -> ExperimentConfig:
     return ExperimentConfig(
-        params=SystemParams(float(settings["alpha"]), _integer(settings, "servers")),
-        horizon=float(settings["horizon"]),
-        delta=float(settings["delta"]),
+        params=SystemParams(_real(settings, "alpha"), _integer(settings, "servers")),
+        horizon=_real(settings, "horizon"),
+        delta=_real(settings, "delta"),
         seed=_integer(settings, "seed"),
         output_dir=Path(settings["out"]),
         replications=_integer(settings, "replications"),
         censored_policy=CensoredPolicy(settings["policy"]),
-        warmup_fraction=float(settings["warmup"]),
+        warmup_fraction=_real(settings, "warmup"),
         curve_resolution=_integer(settings, "resolution"),
         workers=_integer(settings, "workers"),
     )

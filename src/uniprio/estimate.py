@@ -282,13 +282,7 @@ def write_points_csv(points: Iterable[float], values: Iterable[ExtendedReal | No
         writer = csv.writer(handle)
         writer.writerow(["p", "value"])
         for p, v in zip(points, values):
-            if v is None:
-                cell = ""
-            elif not v.is_finite:
-                cell = "inf"
-            else:
-                cell = repr(v.value)
-            writer.writerow([repr(p), cell])
+            writer.writerow([repr(p), "" if v is None else repr(v.value)])
 
 
 def write_curve_csv(curve: CurveEstimate, path) -> None:

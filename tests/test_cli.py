@@ -59,6 +59,12 @@ class TestExperimentConfig:
             tiny_config(tmp_path, workers=0)
         with pytest.raises(ValueError):
             tiny_config(tmp_path, delta=0.3)
+        for name, value in [
+            ("replications", 2.5), ("seed", "3"), ("curve_resolution", 11.0), ("workers", True)
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                tiny_config(tmp_path / "never", **{name: value})
+        assert not (tmp_path / "never").exists()
 
     def test_replication_seed_is_offset(self) -> None:
         assert replication_seed(10, 0) == 10
@@ -172,29 +178,30 @@ class TestCompareCurves:
             return ExtendedReal(analytic[p])
 
         report = compare_curves(estimate, fn)
-        assert report.both_finite == 2
-        assert report.both_infinite == 1
-        assert report.mismatched == 1  # the undefined bin
-        assert report.max_rel_error == pytest.approx(0.2)
-        assert report.mean_rel_error == pytest.approx(0.1)
+        assert report["both_finite"] == 2
+        assert report["both_infinite"] == 1
+        assert report["mismatched"] == 1  # the undefined bin
+        assert report["max_rel_error"] == pytest.approx(0.2)
+        assert report["mean_rel_error"] == pytest.approx(0.1)
 
-    def test_stable_region_only_drops_infinite_bins(self) -> None:
+    def test_finite_estimate_at_divergent_level_is_mismatched(self) -> None:
         params = SystemParams(5.0, 2)
         grid = BinGrid(0.25)
         estimate = CurveEstimate(grid, tuple(ExtendedReal(1.0) for _ in range(4)))
-        full = compare_curves(estimate, lambda p: priority_density(params, p))
-        stable = compare_curves(
-            estimate, lambda p: priority_density(params, p), stable_region_only=True
-        )
-        assert len(full.bins) == 4
-        assert len(stable.bins) == 2  # levels above 0.6 only
-        assert full.mismatched >= 2
+        report = compare_curves(estimate, lambda p: priority_density(params, p))
+        assert [b["analytic"] for b in report["bins"][:2]] == ["inf", "inf"]  # at or below p* = 0.6
+        assert report["mismatched"] == 2
+        assert report["both_finite"] == 2
 
     def test_report_serializes(self) -> None:
         grid = BinGrid(0.5)
         estimate = CurveEstimate(grid, (ExtendedReal(1.0), None))
         report = compare_curves(estimate, lambda p: ExtendedReal(1.0))
-        blob = json.dumps(report.to_dict())
+        assert list(report) == [
+            "bins", "both_finite", "both_infinite", "mismatched", "mean_rel_error", "max_rel_error"
+        ]
+        assert list(report["bins"][0]) == ["p", "analytic", "estimate", "abs_error", "rel_error"]
+        blob = json.dumps(report)
         assert "null" in blob
 
 
@@ -259,6 +266,18 @@ class TestMain:
             main(["--config", str(cfg_path), "--horizon", "10", "--out", str(tmp_path / "run")])
         assert exc.value.code == 2  # parser.error
         assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("horizon", True), ("alpha", "1.5"), ("delta", "0.5"), ("warmup", False)]
+    )
+    def test_config_file_rejects_non_numeric_reals(self, tmp_path, capsys, key, value) -> None:
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"horizon": 10.0, "delta": 0.5, key: value}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2  # parser.error
+        assert f"{key} must be a number" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_config_file_accepts_integral_floats(self, tmp_path) -> None:
