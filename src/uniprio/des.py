@@ -309,21 +309,18 @@ def _cell(value: float | None) -> str:
 
 
 def write_trace_csv(records: Iterable[CustomerRecord], path) -> None:
-    """Write customer records, one row each; empty cells mark missing times."""
+    """Write customer records, one row each; empty cells mark missing times.
+
+    Rows are formatted directly in ``csv.writer``'s excel dialect: no cell
+    (an integer, a float repr or empty) ever needs quoting.
+    """
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_TRACE_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.customer_id,
-                    repr(r.priority),
-                    repr(r.arrival_time),
-                    _cell(r.last_service_entry),
-                    _cell(r.departure_time),
-                    _cell(r.service_time),
-                ]
-            )
+        handle.write(",".join(_TRACE_COLUMNS) + "\r\n")
+        handle.writelines(
+            f"{r.customer_id},{r.priority!r},{r.arrival_time!r},{_cell(r.last_service_entry)},"
+            f"{_cell(r.departure_time)},{_cell(r.service_time)}\r\n"
+            for r in records
+        )
 
 
 def read_trace_csv(path) -> tuple[CustomerRecord, ...]:
@@ -349,13 +346,32 @@ def read_trace_csv(path) -> tuple[CustomerRecord, ...]:
     return tuple(out)
 
 
+class _ReprCache(dict):
+    """Memo of ``repr`` per level, so each level is formatted once per file.
+
+    Zeros are not stored: ``0.0 == -0.0`` shares one key, but their reprs differ.
+    """
+
+    def __missing__(self, level: float) -> str:
+        text = repr(level)
+        if level:
+            self[level] = text
+        return text
+
+
 def write_snapshots_csv(snapshots: Sequence[Snapshot], path) -> None:
-    """Write per-arrival snapshots; priorities are semicolon-joined, ascending."""
+    """Write per-arrival snapshots; priorities are semicolon-joined, ascending.
+
+    Rows are formatted directly, as for :func:`write_trace_csv`: a float
+    repr holds no comma, quote or line break, so ``csv.writer`` would quote
+    nothing either.
+    """
+    text = _ReprCache().__getitem__
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["snapshot_time", "priorities"])
-        for snap in snapshots:
-            writer.writerow([repr(snap.time), ";".join(repr(q) for q in snap.priorities)])
+        handle.write("snapshot_time,priorities\r\n")
+        handle.writelines(
+            f"{time!r},{';'.join(map(text, priorities))}\r\n" for time, priorities in snapshots
+        )
 
 
 def read_snapshots_csv(path) -> tuple[Snapshot, ...]:

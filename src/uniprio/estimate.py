@@ -141,6 +141,11 @@ def evaluate(curve: CurveEstimate, p: float) -> ExtendedReal | None:
     return ExtendedReal(left.value + weight * (right.value - left.value))
 
 
+# Snapshot entries binned per numpy call in ``DensityAccumulator.add_snapshots``:
+# large enough to amortise the call, small enough to add no visible memory.
+_BLOCK = 4096
+
+
 class DensityAccumulator(SimObserver):
     """Streaming per-bin population counts, mergeable across replications.
 
@@ -148,36 +153,68 @@ class DensityAccumulator(SimObserver):
     insert/remove hooks and accumulates the per-bin counts at every snapshot,
     so overloaded runs never need stored snapshots. ``add_snapshots`` covers
     the offline path. Snapshots before ``start_time`` are ignored (warm-up).
+
+    Every sum is an integer count held exactly in a float, so the observer
+    can add a bin's count lazily, once per change of that count, and the
+    offline path can add whole blocks of counts, without changing a bit.
     """
 
     def __init__(self, grid: BinGrid, start_time: float = 0.0) -> None:
         self.grid = grid
         self.start_time = start_time
-        self._current = np.zeros(grid.n_bins, dtype=np.int64)
-        self._sums = np.zeros(grid.n_bins, dtype=np.float64)
+        n = grid.n_bins
+        self._sums = [0.0] * n
         self._snapshots = 0
+        # Observer state: the live count per bin, the snapshots seen through
+        # on_snapshot, and that clock's value when each bin's sum was settled.
+        self._current = [0] * n
+        self._seen = 0
+        self._settled_at = [0] * n
+
+    def _shift(self, b: int, step: int) -> None:
+        """Settle bin ``b``'s sum up to the snapshots seen, then move its count by ``step``."""
+        count = self._current[b]
+        self._sums[b] += count * (self._seen - self._settled_at[b])
+        self._settled_at[b] = self._seen
+        self._current[b] = count + step
+
+    def _settle(self) -> None:
+        for b in range(self.grid.n_bins):
+            self._shift(b, 0)
 
     def on_insert(self, priority: float) -> None:
-        self._current[self.grid.index_of(priority)] += 1
+        self._shift(self.grid.index_of(priority), 1)
 
     def on_remove(self, priority: float) -> None:
-        self._current[self.grid.index_of(priority)] -= 1
+        self._shift(self.grid.index_of(priority), -1)
 
     def on_snapshot(self, time: float) -> None:
         if time >= self.start_time:
-            self._sums += self._current
+            self._seen += 1
             self._snapshots += 1
 
     def add_snapshots(self, snapshots: Iterable[Snapshot]) -> "DensityAccumulator":
-        index_of = self.grid.index_of
-        sums = self._sums
+        block: list[float] = []
         for time, priorities in snapshots:
             if time < self.start_time:
                 continue
-            for q in priorities:
-                sums[index_of(q)] += 1.0
+            block.extend(priorities)
             self._snapshots += 1
+            if len(block) >= _BLOCK:
+                self._add_block(block)
+                block = []
+        self._add_block(block)
         return self
+
+    def _add_block(self, block: list[float]) -> None:
+        """Add a block of levels to the bin sums by :meth:`BinGrid.index_of`'s rule."""
+        q = np.array(block, dtype=np.float64)
+        outside = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both comparisons
+        if outside.size:
+            raise ValueError(f"priority {outside[0]} outside [0, 1] fits no bin")
+        n = self.grid.n_bins
+        counts = np.bincount(np.minimum((q * n).astype(np.int64), n - 1), minlength=n)
+        self._sums = [s + c for s, c in zip(self._sums, counts.tolist())]
 
     @property
     def snapshot_count(self) -> int:
@@ -186,7 +223,8 @@ class DensityAccumulator(SimObserver):
     def merge(self, other: "DensityAccumulator") -> "DensityAccumulator":
         if other.grid != self.grid:
             raise ValueError("cannot merge accumulators on different grids")
-        self._sums += other._sums
+        other._settle()  # this accumulator's own pending counts stay lazy
+        self._sums = [a + b for a, b in zip(self._sums, other._sums)]
         self._snapshots += other._snapshots
         return self
 
@@ -194,6 +232,7 @@ class DensityAccumulator(SimObserver):
         """Density curve: bin count times mean per-bin population per snapshot."""
         if self._snapshots == 0:
             raise ValueError("no snapshots accumulated")
+        self._settle()
         n = self.grid.n_bins
         values = tuple(ExtendedReal(n * s / self._snapshots) for s in self._sums)
         return CurveEstimate(self.grid, values)
@@ -212,51 +251,53 @@ class RecordBinStats:
     def __init__(self, grid: BinGrid) -> None:
         self.grid = grid
         n = grid.n_bins
-        self._departed = np.zeros(n, dtype=np.int64)
-        self._censored = np.zeros(n, dtype=np.int64)
-        self._sojourn = np.zeros(n, dtype=np.float64)
-        self._waiting = np.zeros(n, dtype=np.float64)
+        self._departed = [0] * n
+        self._censored = [0] * n
+        self._sojourn = [0.0] * n
+        self._waiting = [0.0] * n
 
     def add(self, records: Iterable[CustomerRecord], start_time: float = 0.0) -> "RecordBinStats":
         """Tally records whose arrival is at or after ``start_time``."""
         index_of = self.grid.index_of
+        departed, censored = self._departed, self._censored
+        sojourn, waiting_sums = self._sojourn, self._waiting
         for r in records:
             if r.arrival_time < start_time:
                 continue
             i = index_of(r.priority)
             if r.departure_time is None:
-                self._censored[i] += 1
+                censored[i] += 1
             else:
                 if r.last_service_entry is None:
                     raise ValueError(
                         f"departed customer {r.customer_id} has no service entry"
                     )
                 waiting = r.waiting  # raises ValueError without a service time
-                self._departed[i] += 1
-                self._sojourn[i] += r.sojourn
-                self._waiting[i] += waiting
+                departed[i] += 1
+                sojourn[i] += r.sojourn
+                waiting_sums[i] += waiting
         return self
 
     def merge(self, other: "RecordBinStats") -> "RecordBinStats":
         if other.grid != self.grid:
             raise ValueError("cannot merge stats on different grids")
-        self._departed += other._departed
-        self._censored += other._censored
-        self._sojourn += other._sojourn
-        self._waiting += other._waiting
+        self._departed = [a + b for a, b in zip(self._departed, other._departed)]
+        self._censored = [a + b for a, b in zip(self._censored, other._censored)]
+        self._sojourn = [a + b for a, b in zip(self._sojourn, other._sojourn)]
+        self._waiting = [a + b for a, b in zip(self._waiting, other._waiting)]
         return self
 
     @property
     def departed_total(self) -> int:
-        return int(self._departed.sum())
+        return sum(self._departed)
 
     @property
     def censored_total(self) -> int:
-        return int(self._censored.sum())
+        return sum(self._censored)
 
     def censored_count(self, i: int) -> int:
         """Customers still present at the horizon tallied in bin ``i``."""
-        return int(self._censored[i])
+        return self._censored[i]
 
     def sojourn_curve(self, policy: CensoredPolicy = CensoredPolicy.INFINITE) -> CurveEstimate:
         return self._curve(self._sojourn, policy)
@@ -264,7 +305,7 @@ class RecordBinStats:
     def waiting_curve(self, policy: CensoredPolicy = CensoredPolicy.INFINITE) -> CurveEstimate:
         return self._curve(self._waiting, policy)
 
-    def _curve(self, sums: np.ndarray, policy: CensoredPolicy) -> CurveEstimate:
+    def _curve(self, sums: list[float], policy: CensoredPolicy) -> CurveEstimate:
         values: list[ExtendedReal | None] = []
         for i in range(self.grid.n_bins):
             if policy is CensoredPolicy.INFINITE and self._censored[i] > 0:
@@ -279,10 +320,10 @@ class RecordBinStats:
 def write_points_csv(points: Iterable[float], values: Iterable[ExtendedReal | None], path) -> None:
     """One ``p,value`` row per point; infinity renders as ``inf``, no data as empty."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["p", "value"])
-        for p, v in zip(points, values):
-            writer.writerow([repr(p), "" if v is None else repr(v.value)])
+        handle.write("p,value\r\n")
+        handle.writelines(
+            f"{p!r},{'' if v is None else repr(v.value)}\r\n" for p, v in zip(points, values)
+        )
 
 
 def write_curve_csv(curve: CurveEstimate, path) -> None:

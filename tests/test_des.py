@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 import os
@@ -17,6 +18,7 @@ from uniprio.analytics import SystemParams
 from uniprio.des import (
     SimConfig,
     SimObserver,
+    Snapshot,
     read_snapshots_csv,
     read_trace_csv,
     simulate,
@@ -276,6 +278,40 @@ class TestCsvRoundTrip:
         path = tmp_path / "snaps.csv"
         write_snapshots_csv(trace.snapshots, path)
         assert read_snapshots_csv(path) == trace.snapshots
+
+    def test_signed_zeros_keep_their_signs(self, tmp_path) -> None:
+        path = tmp_path / "snaps.csv"
+        write_snapshots_csv([Snapshot(1.0, (-0.0, 0.0, 0.0, -0.0))], path)
+        assert path.read_bytes() == b"snapshot_time,priorities\r\n1.0,-0.0;0.0;0.0;-0.0\r\n"
+
+    def test_empty_snapshot_round_trips(self, tmp_path) -> None:
+        snaps = (Snapshot(0.5, (0.25,)), Snapshot(2.0, ()), Snapshot(3.0, (0.25, 0.75)))
+        path = tmp_path / "snaps.csv"
+        write_snapshots_csv(snaps, path)
+        assert read_snapshots_csv(path) == snaps
+
+    def test_bytes_match_csv_module(self, tmp_path) -> None:
+        # Overloaded, so the horizon leaves censored rows with empty cells.
+        trace = simulate(SimConfig(SystemParams(5.0, 2), 30.0, 43))
+        assert any(r.is_censored for r in trace.records)
+        with open(tmp_path / "trace_ref.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["customer_id", "priority", "arrival_time", "last_service_entry",
+                             "departure_time", "service_time"])
+            for r in trace.records:
+                writer.writerow([r.customer_id, repr(r.priority), repr(r.arrival_time)] + [
+                    "" if v is None else repr(v)
+                    for v in (r.last_service_entry, r.departure_time, r.service_time)
+                ])
+        with open(tmp_path / "snaps_ref.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["snapshot_time", "priorities"])
+            for s in trace.snapshots:
+                writer.writerow([repr(s.time), ";".join(repr(q) for q in s.priorities)])
+        write_trace_csv(trace.records, tmp_path / "trace.csv")
+        write_snapshots_csv(trace.snapshots, tmp_path / "snaps.csv")
+        for name in ("trace", "snaps"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
 
 
 def test_single_server_mean_population_is_plausible() -> None:

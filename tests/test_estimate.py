@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,11 @@ from uniprio.estimate import (
     CurveEstimate,
     DensityAccumulator,
     RecordBinStats,
+    _BLOCK,
     evaluate,
     read_curve_csv,
     write_curve_csv,
+    write_points_csv,
 )
 
 GRID20 = BinGrid(0.05)
@@ -131,6 +135,83 @@ class TestDensityEstimation:
     def test_merge_rejects_mismatched_grids(self) -> None:
         with pytest.raises(ValueError):
             DensityAccumulator(BinGrid(0.5)).merge(DensityAccumulator(BinGrid(0.25)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 10, 20, 49, 100])
+    def test_block_binning_follows_index_of_at_every_edge(self, n: int) -> None:
+        grid = BinGrid(1.0 / n)
+        levels = {0.0, 1.0}
+        for k in range(n + 1):
+            edge = k / n
+            levels.update((edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)))
+        for q in sorted(x for x in levels if 0.0 <= x <= 1.0):
+            curve = DensityAccumulator(grid).add_snapshots([Snapshot(0.0, (q,))]).curve()
+            hit = [i for i, v in enumerate(curve.values) if v.finite]
+            assert hit == [grid.index_of(q)], q
+
+    def test_many_blocks_equal_a_hand_tally(self) -> None:
+        # Small snapshots, one larger than a block, and warm-up snapshots
+        # that must not count, spread over several blocks.
+        rng = random.Random(5)
+        sizes = [3] * 2500 + [_BLOCK + 7] + [0, 1] * 40
+        snaps = [Snapshot(0.001 * t, tuple(rng.random() for _ in range(k))) for t, k in enumerate(sizes)]
+        assert sum(sizes) > 2 * _BLOCK
+        grid = BinGrid(0.1)
+        start = 0.5
+        counts = [0] * grid.n_bins
+        kept = 0
+        for time, priorities in snaps:
+            if time >= start:
+                kept += 1
+                for q in priorities:
+                    counts[grid.index_of(q)] += 1
+        acc = DensityAccumulator(grid, start_time=start).add_snapshots(snaps)
+        assert acc.snapshot_count == kept
+        assert acc.curve().values == tuple(ExtendedReal(grid.n_bins * c / kept) for c in counts)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_rejects_levels_outside_the_unit_interval(self, bad: float) -> None:
+        snaps = [Snapshot(0.0, (0.5,) * _BLOCK), Snapshot(1.0, (0.2, bad, 0.7))]
+        with pytest.raises(ValueError, match="outside"):
+            DensityAccumulator(GRID20).add_snapshots(snaps)
+
+
+class TestStreamingObserver:
+    """The observer settles each bin lazily; its curves must equal the offline ones."""
+
+    CONFIG = SystemParams(5.0, 2), 150.0
+    SEEDS = (21, 22, 23)
+    START = 40.0
+
+    def runs(self):
+        params, horizon = self.CONFIG
+        for seed in self.SEEDS:
+            observer = DensityAccumulator(GRID20, self.START)
+            trace = simulate(SimConfig(params, horizon, seed), observer=observer)
+            yield observer, trace.snapshots
+
+    def test_warmup_and_merge_across_replications(self) -> None:
+        streamed = DensityAccumulator(GRID20, self.START)
+        offline = DensityAccumulator(GRID20, self.START)
+        for observer, snapshots in self.runs():
+            streamed.merge(observer)
+            offline.add_snapshots(snapshots)
+        assert streamed.snapshot_count == offline.snapshot_count > 0
+        assert streamed.curve().values == offline.curve().values
+
+    def test_observer_mixed_with_add_snapshots(self) -> None:
+        params, horizon = self.CONFIG
+        (_, first), (_, second), _ = self.runs()
+        mixed = DensityAccumulator(GRID20, self.START).add_snapshots(first)
+        simulate(SimConfig(params, horizon, self.SEEDS[1], record_snapshots=False), observer=mixed)
+        mixed.add_snapshots(first)
+        offline = DensityAccumulator(GRID20, self.START)
+        offline.add_snapshots(first).add_snapshots(second).add_snapshots(first)
+        assert mixed.snapshot_count == offline.snapshot_count
+        assert mixed.curve().values == offline.curve().values
+        # A curve settles the observer's bins; more offline input still adds exactly.
+        mixed.add_snapshots(second)
+        offline.add_snapshots(second)
+        assert mixed.curve().values == offline.curve().values
 
 
 class TestDelayEstimation:
@@ -275,6 +356,17 @@ class TestCurveCsv:
         back = read_curve_csv(path)
         assert back.grid == curve.grid
         assert back.values == curve.values
+
+    def test_rows_match_csv_module(self, tmp_path) -> None:
+        points = [0.0, 0.1, 1 / 3, 1.0]
+        values = [ExtendedReal(2.5), None, INFINITY, ExtendedReal(1e-300)]
+        with open(tmp_path / "reference.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["p", "value"])
+            for p, v in zip(points, values):
+                writer.writerow([repr(p), "" if v is None else repr(v.value)])
+        write_points_csv(points, values, tmp_path / "points.csv")
+        assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_round_trip_from_simulation(self, tmp_path) -> None:
         trace = simulate(SimConfig(SystemParams(1.5, 2), 300.0, 14))
