@@ -194,20 +194,26 @@ class DensityAccumulator(SimObserver):
             self._snapshots += 1
 
     def add_snapshots(self, snapshots: Iterable[Snapshot]) -> "DensityAccumulator":
+        """Add stored snapshots, in blocks of about ``_BLOCK`` entries.
+
+        A level outside [0, 1] raises ValueError; the blocks before the one
+        holding it stay added, snapshot count and sums alike.
+        """
         block: list[float] = []
+        count = 0
         for time, priorities in snapshots:
             if time < self.start_time:
                 continue
             block.extend(priorities)
-            self._snapshots += 1
+            count += 1
             if len(block) >= _BLOCK:
-                self._add_block(block)
-                block = []
-        self._add_block(block)
+                self._add_block(block, count)
+                block, count = [], 0
+        self._add_block(block, count)
         return self
 
-    def _add_block(self, block: list[float]) -> None:
-        """Add a block of levels to the bin sums by :meth:`BinGrid.index_of`'s rule."""
+    def _add_block(self, block: list[float], snapshots: int) -> None:
+        """Bin ``block``, the levels of ``snapshots`` snapshots, by :meth:`BinGrid.index_of`'s rule."""
         q = np.array(block, dtype=np.float64)
         outside = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both comparisons
         if outside.size:
@@ -215,6 +221,7 @@ class DensityAccumulator(SimObserver):
         n = self.grid.n_bins
         counts = np.bincount(np.minimum((q * n).astype(np.int64), n - 1), minlength=n)
         self._sums = [s + c for s, c in zip(self._sums, counts.tolist())]
+        self._snapshots += snapshots
 
     @property
     def snapshot_count(self) -> int:

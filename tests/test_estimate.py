@@ -171,8 +171,13 @@ class TestDensityEstimation:
     @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
     def test_rejects_levels_outside_the_unit_interval(self, bad: float) -> None:
         snaps = [Snapshot(0.0, (0.5,) * _BLOCK), Snapshot(1.0, (0.2, bad, 0.7))]
+        acc = DensityAccumulator(GRID20)
         with pytest.raises(ValueError, match="outside"):
-            DensityAccumulator(GRID20).add_snapshots(snaps)
+            acc.add_snapshots(snaps)
+        # The full first block stays added; nothing of the failing one does.
+        assert acc.snapshot_count == 1
+        assert acc.curve().values[GRID20.index_of(0.5)] == ExtendedReal(20.0 * _BLOCK)
+        assert sum(v.finite for v in acc.curve().values) == 20.0 * _BLOCK
 
 
 class TestStreamingObserver:
