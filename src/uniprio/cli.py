@@ -93,6 +93,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         BinGrid(self.delta)  # validates the bin width
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.horizon <= 0.0 or not math.isfinite(self.horizon):
             raise ValueError(f"horizon must be finite and positive, got {self.horizon}")
         if self.replications < 1:
@@ -310,6 +312,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     if args.config is not None:
         with open(args.config) as handle:
             loaded = json.load(handle)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
         unknown = set(loaded) - set(_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -21,6 +21,7 @@ import math
 from bisect import insort
 from heapq import heappop, heappush
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +39,10 @@ __all__ = [
     "write_snapshots_csv",
     "read_snapshots_csv",
 ]
+
+# Uniforms drawn per numpy call. A block's values are the ones successive
+# ``rng.random()`` calls would return, so the size changes speed, not streams.
+_BLOCK = 8192
 
 
 class Snapshot(NamedTuple):
@@ -123,6 +128,8 @@ class SimConfig:
             raise ValueError(f"horizon must be finite and nonnegative, got {self.horizon}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -172,20 +179,24 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
     by preemption or by completion, so it draws no extra random numbers.
 
     Reproducibility: one PCG64 stream seeded with ``config.seed`` drives the
-    run, consumed in a fixed order per iteration: first the candidate
-    completion gap (when the system is occupied; discarded unscathed if an
-    arrival preempts the comparison, which memorylessness permits), then on an
-    arrival its uniform priority followed by the next interarrival gap, or on
-    a departure the uniform index choosing who completes. Identical configs
-    give bitwise-identical traces.
+    run. Its uniforms are drawn in blocks of ``rng.random(size).tolist()``,
+    which hold the same values as successive ``rng.random()`` calls, and are
+    consumed in a fixed order per iteration: first the candidate completion
+    gap (when the system is occupied; discarded unscathed if an arrival
+    preempts the comparison, which memorylessness permits), then on an arrival
+    its uniform priority followed by the next interarrival gap, or on a
+    departure one uniform ``u`` that picks the ``int(u * busy)``-th highest
+    customer in service, counting from zero, to complete. The pick consumes
+    its uniform even when one customer is in service, and since ``u < 1`` it
+    never reaches ``busy``. Identical configs give bitwise-identical traces.
 
     Boundary rule: events stamped exactly at the horizon are processed; the
     run stops at the first event strictly beyond it. Customers still present
     are recorded as censored.
     """
     rng = np.random.default_rng(config.seed)
-    uniform = rng.random
-    choose = rng.integers
+    # One C-level call per uniform; the lambda runs once per block.
+    uniform = chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None)).__next__
     alpha = config.params.alpha
     servers = config.params.c
     horizon = config.horizon
@@ -258,7 +269,7 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
                 break
             time = next_completion
             # The n-th highest in service sits at ascending index busy-1-n.
-            victim_level, neg_victim, _ = in_service.pop(busy - 1 - int(choose(busy)))
+            victim_level, neg_victim, _ = in_service.pop(busy - 1 - int(uniform() * busy))
             victim = -neg_victim
             departed[victim] = time
             served[victim] += time - entered[victim]

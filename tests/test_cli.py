@@ -66,6 +66,11 @@ class TestExperimentConfig:
                 tiny_config(tmp_path / "never", **{name: value})
         assert not (tmp_path / "never").exists()
 
+    def test_rejects_negative_seed(self, tmp_path) -> None:
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            tiny_config(tmp_path / "never", seed=-1)
+        assert not (tmp_path / "never").exists()
+
     def test_replication_seed_is_offset(self) -> None:
         assert replication_seed(10, 0) == 10
         assert replication_seed(10, 7) == 17
@@ -292,6 +297,23 @@ class TestMain:
         cfg_path.write_text(json.dumps({"alhpa": 1.0}))
         with pytest.raises(SystemExit):
             main(["--config", str(cfg_path), "--out", str(tmp_path / "run")])
+
+    @pytest.mark.parametrize("content", ["5", '"abc"', "[1, 2]", "null"])
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys, content) -> None:
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2  # parser.error
+        assert "config file must hold a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_fails_before_any_output(self, tmp_path, capsys) -> None:
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "-1", "--horizon", "10", "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2  # parser.error
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_policy_flag(self, tmp_path) -> None:
         out = tmp_path / "run"

@@ -16,6 +16,7 @@ import pytest
 import uniprio
 from uniprio.analytics import SystemParams
 from uniprio.des import (
+    _BLOCK,
     SimConfig,
     SimObserver,
     Snapshot,
@@ -42,6 +43,12 @@ class TestSimConfig:
 
     def test_accepts_numpy_seed(self) -> None:
         SimConfig(PARAMS, 10.0, np.int64(3))
+
+    def test_rejects_negative_seed(self) -> None:
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SimConfig(PARAMS, 10.0, -1)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SimConfig(PARAMS, 10.0, np.int64(-2))
 
 
 class TestTraceShape:
@@ -134,19 +141,73 @@ class TestDeterminism:
         assert len(below.records) == len(at.records) - 1
 
 
+class TestDrawOrder:
+    def test_single_server_run_replays_from_the_raw_stream(self) -> None:
+        # Replays the documented order by hand from one flat array of
+        # uniforms: arrival gap, then per iteration the completion gap when
+        # occupied, then priority and next gap on an arrival, or one pick
+        # uniform on a departure. The run spans several numpy blocks.
+        alpha, horizon, seed = 0.9, 1e4, 61
+        draws = np.random.default_rng(seed).random(100_000).tolist()
+        used = 0
+
+        def uniform() -> float:
+            nonlocal used
+            used += 1
+            return draws[used - 1]
+
+        arrivals: list[float] = []
+        departures: dict[int, float] = {}
+        present: dict[int, float] = {}
+        time = 0.0
+        next_arrival = -math.log1p(-uniform()) / alpha
+        while True:
+            next_completion = time + -math.log1p(-uniform()) if present else math.inf
+            if next_arrival <= next_completion:
+                if next_arrival > horizon:
+                    break
+                time = next_arrival
+                present[len(arrivals)] = uniform()
+                arrivals.append(time)
+                next_arrival = time + -math.log1p(-uniform()) / alpha
+            else:
+                if next_completion > horizon:
+                    break
+                time = next_completion
+                uniform()  # the pick; one server leaves no choice
+                top = max(present, key=lambda i: (present[i], -i))
+                departures[top] = time
+                del present[top]
+        assert used > 3 * _BLOCK
+
+        trace = simulate(SimConfig(SystemParams(alpha, 1), horizon, seed))
+        assert [r.arrival_time for r in trace.records] == arrivals
+        assert {r.customer_id: r.departure_time for r in trace.records if not r.is_censored} == departures
+        assert trace.final_population == len(present)
+
+    def test_pick_never_reaches_busy(self) -> None:
+        below_one = math.nextafter(1.0, 0.0)
+        for n in range(1, 2001):
+            assert int(below_one * n) == n - 1
+
+
 # SHA-256 of write_trace_csv bytes followed by write_snapshots_csv bytes. They
 # pin the documented draw order; a change to the random stream must update
-# them on purpose.
+# them on purpose. Test ids name the case, not the digest, so an update keeps them.
 GOLDEN_DIGESTS = [
-    (5.0, 2, 60.0, 3, "0e57428cbafc7b400e6e19053373f6d8268b6fbb6878a730a2961ffe0f4f2c54"),
-    (45.0, 50, 8.0, 4, "2ef5e6826feff24f1a1387b0c2235fbeeb3b88f10c2b68bd8e86a47dbe717a7b"),
-    (1.5, 2, 500.0, 2, "1a71d2c90e2bf864b3a2142cdab5a4de7017237944c66d48bb0a58e085d74a22"),
-    (0.5, 1, 300.0, 5, "559f2dee4b75fda4ba51a836200661198d262df45773ef69566f11f57555d9c1"),
+    (5.0, 2, 60.0, 3, "685d85850ef8240273127c1b2af069f0b92b5ebea582b757855a15801acf50ff"),
+    (45.0, 50, 8.0, 4, "753dfbd4b11a1af8555aefae1f4e463f4126cadc10f0ecf1b6a1676187c5e5d6"),
+    (1.5, 2, 500.0, 2, "eec87bc0ec3da7bf8b2b56796204ca71b85a5c4b78bc273c87e23704011324e8"),
+    (0.5, 1, 300.0, 5, "8073d1c839528315b478dc5d1f6cd1bc7d32e7841af093a95370732798a3e115"),
 ]
 
 
 class TestGoldenDigests:
-    @pytest.mark.parametrize("alpha, c, horizon, seed, digest", GOLDEN_DIGESTS)
+    @pytest.mark.parametrize(
+        "alpha, c, horizon, seed, digest",
+        GOLDEN_DIGESTS,
+        ids=[f"{alpha}-{c}-{horizon}-{seed}" for alpha, c, horizon, seed, _ in GOLDEN_DIGESTS],
+    )
     def test_csv_bytes_are_pinned(self, tmp_path, alpha, c, horizon, seed, digest) -> None:
         trace = simulate(SimConfig(SystemParams(alpha, c), horizon, seed))
         write_trace_csv(trace.records, tmp_path / "trace.csv")
