@@ -64,9 +64,6 @@ class TestExperimentConfig:
         ]:
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 tiny_config(tmp_path / "never", **{name: value})
-        assert not (tmp_path / "never").exists()
-
-    def test_rejects_negative_seed(self, tmp_path) -> None:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             tiny_config(tmp_path / "never", seed=-1)
         assert not (tmp_path / "never").exists()
