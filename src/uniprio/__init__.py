@@ -42,7 +42,6 @@ from .estimate import (
     CurveEstimate,
     DensityAccumulator,
     RecordBinStats,
-    evaluate,
     read_curve_csv,
     write_curve_csv,
     write_points_csv,
@@ -93,7 +92,6 @@ __all__ = [
     "CurveEstimate",
     "DensityAccumulator",
     "RecordBinStats",
-    "evaluate",
     "read_curve_csv",
     "write_curve_csv",
     "write_points_csv",

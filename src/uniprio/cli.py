@@ -184,11 +184,11 @@ def _replicate(config: ExperimentConfig, r: int) -> tuple[DensityAccumulator, Re
     out = config.output_dir
     start_time = config.warmup_fraction * config.horizon
     trace = simulate(SimConfig(config.params, config.horizon, replication_seed(config.seed, r)))
-    write_trace_csv(trace.records, out / f"trace_rep{r:03d}.csv")
+    write_trace_csv(trace, out / f"trace_rep{r:03d}.csv")
     write_snapshots_csv(trace.snapshots, out / f"snapshots_rep{r:03d}.csv")
     density = DensityAccumulator(config.grid, start_time).add_snapshots(trace.snapshots)
-    delays = RecordBinStats(config.grid).add(trace.records, start_time)
-    return density, delays, len(trace.records)
+    delays = RecordBinStats(config.grid).add(trace, start_time)
+    return density, delays, len(trace)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:

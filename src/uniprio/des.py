@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import math
 from bisect import insort
-from heapq import heappop, heappush
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -52,8 +53,7 @@ class Snapshot(NamedTuple):
     priorities: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class CustomerRecord:
+class CustomerRecord(NamedTuple):
     """One customer's lifecycle. ``departure_time`` is None when the run ended
     with the customer still in system (censored).
 
@@ -136,14 +136,44 @@ class SimConfig:
 class SimTrace:
     """Everything one run produced; immutable after construction.
 
+    Customers are held as columns indexed by customer id, one per
+    :class:`CustomerRecord` field after ``customer_id``: ``service_time`` is
+    None exactly where ``departure_time`` is. :attr:`records` builds the
+    records on first access; ``len(trace)`` counts customers without them.
+
     ``final_population`` equals the number of censored records: customers in
     system when the horizon cut the run off.
     """
 
-    records: tuple[CustomerRecord, ...]
+    priority: tuple[float, ...]
+    arrival_time: tuple[float, ...]
+    last_service_entry: tuple[float | None, ...]
+    departure_time: tuple[float | None, ...]
+    service_time: tuple[float | None, ...]
     snapshots: tuple[Snapshot, ...]
     event_count: int
     final_population: int
+
+    def __len__(self) -> int:
+        return len(self.arrival_time)
+
+    @property
+    def columns(self) -> tuple[Sequence, ...]:
+        """The record fields as columns, customer ids first, so that
+        ``zip(*trace.columns)`` yields the records' tuples and
+        ``zip(*trace.records)`` yields the columns."""
+        return (
+            range(len(self)),
+            self.priority,
+            self.arrival_time,
+            self.last_service_entry,
+            self.departure_time,
+            self.service_time,
+        )
+
+    @cached_property
+    def records(self) -> tuple[CustomerRecord, ...]:
+        return tuple(map(CustomerRecord._make, zip(*self.columns)))
 
 
 class SimObserver:
@@ -282,22 +312,15 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
                 observer.on_remove(victim_level)
             events += 1
 
-    records = tuple(
-        CustomerRecord(
-            i,
-            displays[i],
-            arrivals[i],
-            entered[i],
-            departed[i],
-            None if departed[i] is None else served[i],
-        )
-        for i in range(len(arrivals))
-    )
     return SimTrace(
-        records=records,
-        snapshots=tuple(snapshots),
-        event_count=events,
-        final_population=len(in_service) + len(queue),
+        tuple(displays),
+        tuple(arrivals),
+        tuple(entered),
+        tuple(departed),
+        tuple(None if d is None else s for d, s in zip(departed, served)),
+        tuple(snapshots),
+        events,
+        len(in_service) + len(queue),
     )
 
 
@@ -305,32 +328,22 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
 # CSV export and import
 
 
-_TRACE_COLUMNS = (
-    "customer_id",
-    "priority",
-    "arrival_time",
-    "last_service_entry",
-    "departure_time",
-    "service_time",
-)
-
-
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def write_trace_csv(records: Iterable[CustomerRecord], path) -> None:
-    """Write customer records, one row each; empty cells mark missing times.
+def write_trace_csv(trace_or_records: SimTrace | Iterable[CustomerRecord], path) -> None:
+    """Write a trace's customers, or records, one row each; empty cells mark missing times.
 
     Rows are formatted directly in ``csv.writer``'s excel dialect: no cell
     (an integer, a float repr or empty) ever needs quoting.
     """
+    if isinstance(trace_or_records, SimTrace):
+        rows = zip(*trace_or_records.columns)
+    else:
+        rows = trace_or_records
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(_TRACE_COLUMNS) + "\r\n")
+        handle.write(",".join(CustomerRecord._fields) + "\r\n")
         handle.writelines(
-            f"{r.customer_id},{r.priority!r},{r.arrival_time!r},{_cell(r.last_service_entry)},"
-            f"{_cell(r.departure_time)},{_cell(r.service_time)}\r\n"
-            for r in records
+            f"{i},{p!r},{a!r},{'' if e is None else repr(e)},"
+            f"{'' if d is None else repr(d)},{'' if s is None else repr(s)}\r\n"
+            for i, p, a, e, d, s in rows
         )
 
 

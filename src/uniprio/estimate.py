@@ -7,15 +7,11 @@ estimates average per-customer delays over the customers whose priority fell
 in each bin. Customers still in system at the horizon carry no finished
 delay: the Infinite policy treats theirs as infinite (any such customer makes
 its bin infinite), the Exclude policy drops them.
-
-Estimated curves evaluate between bin centers by linear interpolation and
-extend beyond the outermost centers as constants.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -23,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .analytics import INFINITY, ExtendedReal
-from .des import CustomerRecord, SimObserver, Snapshot
+from .des import CustomerRecord, SimObserver, SimTrace, Snapshot
 
 __all__ = [
     "BinGrid",
@@ -31,7 +27,6 @@ __all__ = [
     "CurveEstimate",
     "DensityAccumulator",
     "RecordBinStats",
-    "evaluate",
     "write_points_csv",
     "write_curve_csv",
     "read_curve_csv",
@@ -107,38 +102,10 @@ class CurveEstimate:
                 f"expected {self.grid.n_bins} values, got {len(self.values)}"
             )
 
-    def __call__(self, p: float) -> ExtendedReal | None:
-        return evaluate(self, p)
 
-
-def evaluate(curve: CurveEstimate, p: float) -> ExtendedReal | None:
-    """Evaluate a binned curve at any level in [0, 1].
-
-    At a bin center the stored value is returned as-is. Between two centers
-    the value interpolates linearly when both neighbors are finite, is None
-    when either neighbor is undefined, and infinite when either neighbor is
-    infinite. Outside the outermost centers the nearest stored value extends
-    as a constant.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"evaluation point {p} outside [0, 1]")
-    centers = curve.grid.centers
-    values = curve.values
-    if p <= centers[0]:
-        return values[0]
-    if p >= centers[-1]:
-        return values[-1]
-    i = bisect_left(centers, p)
-    if centers[i] == p:
-        return values[i]
-    left, right = values[i - 1], values[i]
-    if left is None or right is None:
-        return None
-    if not left.is_finite or not right.is_finite:
-        return INFINITY
-    span = centers[i] - centers[i - 1]
-    weight = (p - centers[i - 1]) / span
-    return ExtendedReal(left.value + weight * (right.value - left.value))
+def _bin_indices(q: np.ndarray, n: int) -> np.ndarray:
+    """:meth:`BinGrid.index_of` over ``n`` bins for priorities already checked to lie in [0, 1]."""
+    return np.minimum((q * n).astype(np.int64), n - 1)
 
 
 # Snapshot entries binned per numpy call in ``DensityAccumulator.add_snapshots``:
@@ -219,7 +186,7 @@ class DensityAccumulator(SimObserver):
         if outside.size:
             raise ValueError(f"priority {outside[0]} outside [0, 1] fits no bin")
         n = self.grid.n_bins
-        counts = np.bincount(np.minimum((q * n).astype(np.int64), n - 1), minlength=n)
+        counts = np.bincount(_bin_indices(q, n), minlength=n)
         self._sums = [s + c for s, c in zip(self._sums, counts.tolist())]
         self._snapshots += snapshots
 
@@ -245,12 +212,17 @@ class DensityAccumulator(SimObserver):
         return CurveEstimate(self.grid, values)
 
 
+def _is_none(column: Iterable[float | None]) -> np.ndarray:
+    """Mask of the None entries of ``column``."""
+    return np.equal(np.array(column, dtype=object), None)
+
+
 class RecordBinStats:
-    """Mergeable per-bin delay tallies over customer records.
+    """Mergeable per-bin delay tallies over customers.
 
     Tracks, per bin, the number of departed and censored customers and the
     summed sojourn and waiting times of the departed ones; curves for either
-    censoring policy come out of one pass over the records. Waiting is
+    censoring policy come out of the same tallies. Waiting is
     :attr:`uniprio.des.CustomerRecord.waiting`, the total time out of service
     (sojourn minus ``service_time``).
     """
@@ -263,35 +235,65 @@ class RecordBinStats:
         self._sojourn = [0.0] * n
         self._waiting = [0.0] * n
 
-    def add(self, records: Iterable[CustomerRecord], start_time: float = 0.0) -> "RecordBinStats":
-        """Tally records whose arrival is at or after ``start_time``."""
-        index_of = self.grid.index_of
-        departed, censored = self._departed, self._censored
-        sojourn, waiting_sums = self._sojourn, self._waiting
-        for r in records:
-            if r.arrival_time < start_time:
-                continue
-            i = index_of(r.priority)
-            if r.departure_time is None:
-                censored[i] += 1
-            else:
-                if r.last_service_entry is None:
-                    raise ValueError(
-                        f"departed customer {r.customer_id} has no service entry"
-                    )
-                waiting = r.waiting  # raises ValueError without a service time
-                departed[i] += 1
-                sojourn[i] += r.sojourn
-                waiting_sums[i] += waiting
-        return self
+    def add(
+        self, trace_or_records: SimTrace | Iterable[CustomerRecord], start_time: float = 0.0
+    ) -> "RecordBinStats":
+        """Tally customers whose arrival is at or after ``start_time``.
+
+        A trace hands over its columns; records are transposed into the same
+        columns. Every customer to be tallied is checked first: a priority
+        outside [0, 1] (or NaN), or a departed customer without a service
+        entry or a service time, raises ValueError and changes no tally.
+
+        Each tally is one ``np.bincount``, which adds in input order, so one
+        call on a fresh instance sums exactly as a loop over the customers
+        would. Further calls add their per-call sums, as :meth:`merge` would.
+        """
+        if isinstance(trace_or_records, SimTrace):
+            columns = trace_or_records.columns
+        else:
+            columns = tuple(zip(*trace_or_records))
+            if not columns:
+                return self
+        ids, priority, arrival, entered, departure, served = columns
+        a = np.array(arrival, dtype=np.float64)
+        q = np.array(priority, dtype=np.float64)
+        kept = ~(a < start_time)
+        outside = ~((q >= 0.0) & (q <= 1.0))  # NaN fails both comparisons
+        done = ~_is_none(departure)
+        no_entry = done & _is_none(entered)
+        no_time = done & _is_none(served)
+        bad = np.flatnonzero(kept & (outside | no_entry | no_time))
+        if bad.size:
+            i = bad[0]
+            if outside[i]:
+                raise ValueError(f"priority {priority[i]} outside [0, 1] fits no bin")
+            missing = "service entry" if no_entry[i] else "service time"
+            raise ValueError(f"departed customer {ids[i]} has no {missing}")
+
+        n = self.grid.n_bins
+        finished = kept & done
+        bins = _bin_indices(q[finished], n)
+        still_in = _bin_indices(q[kept & ~done], n)
+        sojourn = np.array(departure, dtype=np.float64)[finished] - a[finished]
+        waiting = sojourn - np.array(served, dtype=np.float64)[finished]
+        return self._combine(
+            np.bincount(bins, minlength=n).tolist(),
+            np.bincount(still_in, minlength=n).tolist(),
+            np.bincount(bins, weights=sojourn, minlength=n).tolist(),
+            np.bincount(bins, weights=waiting, minlength=n).tolist(),
+        )
 
     def merge(self, other: "RecordBinStats") -> "RecordBinStats":
         if other.grid != self.grid:
             raise ValueError("cannot merge stats on different grids")
-        self._departed = [a + b for a, b in zip(self._departed, other._departed)]
-        self._censored = [a + b for a, b in zip(self._censored, other._censored)]
-        self._sojourn = [a + b for a, b in zip(self._sojourn, other._sojourn)]
-        self._waiting = [a + b for a, b in zip(self._waiting, other._waiting)]
+        return self._combine(other._departed, other._censored, other._sojourn, other._waiting)
+
+    def _combine(self, departed, censored, sojourn, waiting) -> "RecordBinStats":
+        self._departed = [a + b for a, b in zip(self._departed, departed)]
+        self._censored = [a + b for a, b in zip(self._censored, censored)]
+        self._sojourn = [a + b for a, b in zip(self._sojourn, sojourn)]
+        self._waiting = [a + b for a, b in zip(self._waiting, waiting)]
         return self
 
     @property

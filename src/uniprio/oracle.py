@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .des import CustomerRecord, SimConfig, SimTrace, Snapshot
+from .des import SimConfig, SimTrace, Snapshot
 
 __all__ = [
     "BirthDeathSpec",
@@ -224,20 +224,13 @@ def reference_simulate(config: SimConfig) -> SimTrace:
                 enter_service(promoted, time)
             events += 1
 
-    records = tuple(
-        CustomerRecord(
-            i,
-            displays[i],
-            arrivals[i],
-            entered[i],
-            departed[i],
-            None if departed[i] is None else served[i],
-        )
-        for i in range(len(arrivals))
-    )
     return SimTrace(
-        records=records,
-        snapshots=tuple(snapshots),
-        event_count=events,
-        final_population=len(levels),
+        tuple(displays),
+        tuple(arrivals),
+        tuple(entered),
+        tuple(departed),
+        tuple(None if d is None else s for d, s in zip(departed, served)),
+        tuple(snapshots),
+        events,
+        len(levels),
     )

@@ -17,6 +17,7 @@ import uniprio
 from uniprio.analytics import SystemParams
 from uniprio.des import (
     _BLOCK,
+    CustomerRecord,
     SimConfig,
     SimObserver,
     Snapshot,
@@ -325,6 +326,49 @@ class TestObserver:
         assert dropped.snapshots == ()
         assert dropped.records == kept.records
         assert counter.snapshots == len(kept.snapshots)
+
+
+class TestColumnarTrace:
+    # Overloaded, so the horizon leaves censored customers.
+    CONFIG = SimConfig(SystemParams(5.0, 2), 30.0, 43)
+
+    def test_records_are_built_from_the_columns(self) -> None:
+        trace = simulate(self.CONFIG)
+        columns = (
+            trace.priority,
+            trace.arrival_time,
+            trace.last_service_entry,
+            trace.departure_time,
+            trace.service_time,
+        )
+        rebuilt = tuple(CustomerRecord(i, *row) for i, row in enumerate(zip(*columns)))
+        assert trace.records == rebuilt
+        assert trace.records is trace.records
+        assert len(trace) == len(trace.records) > 0
+        assert tuple(zip(*trace.records)) == tuple(map(tuple, trace.columns))
+        assert [s is None for s in trace.service_time] == [d is None for d in trace.departure_time]
+        assert trace.departure_time.count(None) == trace.final_population > 0
+
+    def test_record_properties(self) -> None:
+        done = CustomerRecord(3, 0.4, 1.0, 2.0, 5.0, 2.5)
+        assert not done.is_censored
+        assert done.sojourn == 4.0
+        assert done.waiting == 1.5
+        assert done == (3, 0.4, 1.0, 2.0, 5.0, 2.5)  # a NamedTuple equals its plain tuple
+        censored = CustomerRecord(4, 0.4, 1.0, None, None, None)
+        assert censored.is_censored
+        assert censored.sojourn is None and censored.waiting is None
+        with pytest.raises(ValueError, match="no service time"):
+            CustomerRecord(5, 0.4, 1.0, 2.0, 5.0, None).waiting
+
+    def test_trace_and_records_write_the_same_bytes(self, tmp_path) -> None:
+        trace = simulate(self.CONFIG)
+        assert any(r.is_censored for r in trace.records)
+        write_trace_csv(trace, tmp_path / "from_trace.csv")
+        write_trace_csv(trace.records, tmp_path / "from_records.csv")
+        data = (tmp_path / "from_trace.csv").read_bytes()
+        assert data == (tmp_path / "from_records.csv").read_bytes()
+        assert read_trace_csv(tmp_path / "from_trace.csv") == trace.records
 
 
 class TestCsvRoundTrip:

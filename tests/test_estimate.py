@@ -1,4 +1,4 @@
-"""Binned estimators: grids, accumulators, policies, evaluation, round trips."""
+"""Binned estimators: grids, accumulators, policies, round trips."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from uniprio.analytics import INFINITY, ExtendedReal, SystemParams
 from uniprio.des import CustomerRecord, SimConfig, Snapshot, simulate
+from uniprio.oracle import reference_simulate
 from uniprio.estimate import (
     BinGrid,
     CensoredPolicy,
@@ -18,7 +19,6 @@ from uniprio.estimate import (
     DensityAccumulator,
     RecordBinStats,
     _BLOCK,
-    evaluate,
     read_curve_csv,
     write_curve_csv,
     write_points_csv,
@@ -36,6 +36,27 @@ def record(
     service_time: float | None,
 ) -> CustomerRecord:
     return CustomerRecord(cid, priority, arrival, entered, departed, service_time)
+
+
+def tallies(stats: RecordBinStats) -> tuple[list, ...]:
+    return stats._departed, stats._censored, stats._sojourn, stats._waiting
+
+
+def loop_tallies(records, grid: BinGrid, start_time: float) -> tuple[list, ...]:
+    """Reference: the per-record loop, adding each delay in record order."""
+    n = grid.n_bins
+    departed, censored, sojourn, waiting = [0] * n, [0] * n, [0.0] * n, [0.0] * n
+    for r in records:
+        if r.arrival_time < start_time:
+            continue
+        i = grid.index_of(r.priority)
+        if r.is_censored:
+            censored[i] += 1
+        else:
+            departed[i] += 1
+            sojourn[i] += r.sojourn
+            waiting[i] += r.waiting
+    return departed, censored, sojourn, waiting
 
 
 class TestBinGrid:
@@ -308,46 +329,55 @@ class TestDelayEstimation:
             else:
                 assert a.finite == pytest.approx(b.finite, rel=1e-12)
 
+    @pytest.mark.parametrize("run", [simulate, reference_simulate])
+    @pytest.mark.parametrize("alpha, horizon", [(1.9, 400.0), (5.0, 100.0)])
+    def test_trace_and_records_tally_bit_identically(self, run, alpha, horizon) -> None:
+        trace = run(SimConfig(SystemParams(alpha, 2), horizon, 17))
+        start = 0.2 * horizon
+        assert trace.final_population > 0
+        assert any(a < start for a in trace.arrival_time)
+        from_trace = RecordBinStats(GRID20).add(trace, start)
+        from_records = RecordBinStats(GRID20).add(trace.records, start)
+        assert tallies(from_trace) == tallies(from_records)
+        assert tallies(from_trace) == loop_tallies(trace.records, GRID20, start)
+        assert from_trace.censored_total > 0
 
-class TestEvaluate:
-    def curve(self, values) -> CurveEstimate:
-        return CurveEstimate(BinGrid(0.25), tuple(values))
+    def test_repeated_add_equals_merge(self) -> None:
+        trace = simulate(SimConfig(SystemParams(1.5, 2), 400.0, 13))
+        first, second = trace.records[:300], trace.records[300:]
+        added = RecordBinStats(GRID20).add(first).add(second)
+        merged = RecordBinStats(GRID20).add(first).merge(RecordBinStats(GRID20).add(second))
+        assert tallies(added) == tallies(merged)
 
-    def test_exact_center_returns_stored_value(self) -> None:
-        c = self.curve([ExtendedReal(1.0), ExtendedReal(3.0), INFINITY, None])
-        assert evaluate(c, 0.125) == ExtendedReal(1.0)
-        assert evaluate(c, 0.625) == INFINITY
-        assert evaluate(c, 0.875) is None
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (record(9, 0.2, 3.0, None, 4.0, 1.0), "no service entry"),
+            (record(9, 0.2, 3.0, 3.5, 4.0, None), "no service time"),
+            (record(9, 1.5, 3.0, 3.0, 4.0, 1.0), "outside"),
+            (record(9, math.nan, 3.0, 3.0, 4.0, 1.0), "outside"),
+        ],
+    )
+    def test_failed_add_changes_nothing(self, bad, message) -> None:
+        good = [record(0, 0.2, 2.0, 2.0, 3.0, 1.0), record(1, 0.7, 2.5, None, None, None)]
+        stats = RecordBinStats(BinGrid(0.5)).add(good)
+        before = tuple(list(t) for t in tallies(stats))
+        with pytest.raises(ValueError, match=message):
+            stats.add([*good, bad, record(10, 0.6, 5.0, 5.0, 6.0, 1.0)])
+        assert tallies(stats) == before
 
-    def test_linear_between_centers(self) -> None:
-        c = self.curve([ExtendedReal(1.0), ExtendedReal(3.0), ExtendedReal(3.0), ExtendedReal(5.0)])
-        assert evaluate(c, 0.25).finite == pytest.approx(2.0, rel=1e-15)
-        assert evaluate(c, 0.3).finite == pytest.approx(2.4, rel=1e-14)
-
-    def test_constant_extrapolation(self) -> None:
-        c = self.curve([ExtendedReal(1.0), ExtendedReal(3.0), ExtendedReal(3.0), ExtendedReal(5.0)])
-        assert evaluate(c, 0.0) == ExtendedReal(1.0)
-        assert evaluate(c, 1.0) == ExtendedReal(5.0)
-
-    def test_infinite_neighbor_dominates(self) -> None:
-        c = self.curve([ExtendedReal(1.0), INFINITY, ExtendedReal(3.0), ExtendedReal(5.0)])
-        assert evaluate(c, 0.2) == INFINITY
-        assert evaluate(c, 0.55) == INFINITY
-
-    def test_undefined_neighbor_poisons(self) -> None:
-        c = self.curve([ExtendedReal(1.0), None, ExtendedReal(3.0), ExtendedReal(5.0)])
-        assert evaluate(c, 0.2) is None
-
-    def test_out_of_range_raises(self) -> None:
-        c = self.curve([ExtendedReal(1.0)] * 4)
-        with pytest.raises(ValueError):
-            evaluate(c, -0.1)
-        with pytest.raises(ValueError):
-            evaluate(c, 1.1)
-
-    def test_call_notation(self) -> None:
-        c = self.curve([ExtendedReal(1.0), ExtendedReal(3.0), ExtendedReal(3.0), ExtendedReal(5.0)])
-        assert c(0.25) == evaluate(c, 0.25)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            record(0, 0.2, 0.0, None, 4.0, 1.0),
+            record(0, 0.2, 0.0, 3.5, 4.0, None),
+            record(0, 1.5, 0.0, 0.0, 4.0, 1.0),
+            record(0, math.nan, 0.0, 0.0, 4.0, 1.0),
+        ],
+    )
+    def test_bad_record_before_start_time_is_skipped(self, bad) -> None:
+        stats = RecordBinStats(BinGrid(0.5)).add([bad, record(1, 0.2, 5.0, 5.0, 7.0, 2.0)], 2.0)
+        assert tallies(stats) == ([1, 0], [0, 0], [2.0, 0.0], [0.0, 0.0])
 
 
 class TestCurveCsv:
