@@ -313,14 +313,14 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
             events += 1
 
     return SimTrace(
-        tuple(displays),
-        tuple(arrivals),
-        tuple(entered),
-        tuple(departed),
-        tuple(None if d is None else s for d, s in zip(departed, served)),
-        tuple(snapshots),
-        events,
-        len(in_service) + len(queue),
+        priority=tuple(displays),
+        arrival_time=tuple(arrivals),
+        last_service_entry=tuple(entered),
+        departure_time=tuple(departed),
+        service_time=tuple(None if d is None else s for d, s in zip(departed, served)),
+        snapshots=tuple(snapshots),
+        event_count=events,
+        final_population=len(in_service) + len(queue),
     )
 
 
