@@ -11,14 +11,15 @@ touching only one clock per event.
 
 Observables follow the arrivals-see-time-averages route: immediately before
 each arrival joins, the sorted multiset of priorities present is recorded as
-a snapshot.
+a snapshot. Only while snapshots are stored does the simulator also keep the
+priorities present as one ascending list, so that a snapshot is a copy of it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -112,7 +113,8 @@ class SimConfig:
     uniform draws (order is all that matters), so two runs with the same seed
     and different quantile maps share every event time; only logged priorities
     differ. ``record_snapshots=False`` skips storing per-arrival snapshots,
-    which long overloaded runs need to keep memory bounded; streaming
+    which long overloaded runs need to keep memory bounded, and with them the
+    ascending list of priorities present that each snapshot copies; streaming
     observers still see every snapshot.
     """
 
@@ -244,6 +246,8 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
     served: list[float] = []
     snapshots: list[Snapshot] = []
     keep_snapshots = config.record_snapshots
+    # Displays of everyone present, ascending; kept only for snapshots.
+    present: list[float] = []
     events = 0
 
     time = 0.0
@@ -260,15 +264,13 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
                 break
             time = next_arrival
             if keep_snapshots:
-                # Every waiter ranks below every customer in service, and
-                # displays are a nondecreasing map of levels.
-                present = sorted([e[2] for e in queue])
-                present.extend([e[2] for e in in_service])
                 snapshots.append(Snapshot(time, tuple(present)))
             if observer is not None:
                 observer.on_snapshot(time)
             level = uniform()
             display = float(quantile(level)) if quantile is not None else level
+            if keep_snapshots:
+                insort(present, display)
             customer = len(arrivals)
             entry = (level, -customer, display)
             arrivals.append(time)
@@ -299,8 +301,14 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
                 break
             time = next_completion
             # The n-th highest in service sits at ascending index busy-1-n.
-            victim_level, neg_victim, _ = in_service.pop(busy - 1 - int(uniform() * busy))
+            victim_level, neg_victim, victim_display = in_service.pop(busy - 1 - int(uniform() * busy))
             victim = -neg_victim
+            if keep_snapshots:
+                # Among equal displays (say -0.0 and 0.0), drop the victim's own.
+                i = bisect_left(present, victim_display)
+                while present[i] is not victim_display:
+                    i += 1
+                del present[i]
             departed[victim] = time
             served[victim] += time - entered[victim]
             if queue:

@@ -129,7 +129,7 @@ class DensityAccumulator(SimObserver):
     def __init__(self, grid: BinGrid, start_time: float = 0.0) -> None:
         self.grid = grid
         self.start_time = start_time
-        n = grid.n_bins
+        self._n = n = grid.n_bins
         self._sums = [0.0] * n
         self._snapshots = 0
         # Observer state: the live count per bin, the snapshots seen through
@@ -138,22 +138,34 @@ class DensityAccumulator(SimObserver):
         self._seen = 0
         self._settled_at = [0] * n
 
-    def _shift(self, b: int, step: int) -> None:
-        """Settle bin ``b``'s sum up to the snapshots seen, then move its count by ``step``."""
+    def _move(self, priority: float, step: int) -> None:
+        """Settle ``priority``'s bin up to the snapshots seen, then move its count by ``step``.
+
+        Bins by :meth:`BinGrid.index_of`'s rule with the bin count cached, as
+        this runs at every arrival and departure.
+        """
+        if not 0.0 <= priority <= 1.0:
+            raise ValueError(f"priority {priority} outside [0, 1] fits no bin")
+        n = self._n
+        b = int(priority * n)
+        if b == n:
+            b -= 1
         count = self._current[b]
         self._sums[b] += count * (self._seen - self._settled_at[b])
         self._settled_at[b] = self._seen
         self._current[b] = count + step
 
     def _settle(self) -> None:
-        for b in range(self.grid.n_bins):
-            self._shift(b, 0)
+        seen = self._seen
+        for b, count in enumerate(self._current):
+            self._sums[b] += count * (seen - self._settled_at[b])
+        self._settled_at = [seen] * self._n
 
     def on_insert(self, priority: float) -> None:
-        self._shift(self.grid.index_of(priority), 1)
+        self._move(priority, 1)
 
     def on_remove(self, priority: float) -> None:
-        self._shift(self.grid.index_of(priority), -1)
+        self._move(priority, -1)
 
     def on_snapshot(self, time: float) -> None:
         if time >= self.start_time:
@@ -185,7 +197,7 @@ class DensityAccumulator(SimObserver):
         outside = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both comparisons
         if outside.size:
             raise ValueError(f"priority {outside[0]} outside [0, 1] fits no bin")
-        n = self.grid.n_bins
+        n = self._n
         counts = np.bincount(_bin_indices(q, n), minlength=n)
         self._sums = [s + c for s, c in zip(self._sums, counts.tolist())]
         self._snapshots += snapshots
@@ -207,7 +219,7 @@ class DensityAccumulator(SimObserver):
         if self._snapshots == 0:
             raise ValueError("no snapshots accumulated")
         self._settle()
-        n = self.grid.n_bins
+        n = self._n
         values = tuple(ExtendedReal(n * s / self._snapshots) for s in self._sums)
         return CurveEstimate(self.grid, values)
 

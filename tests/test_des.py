@@ -118,6 +118,44 @@ class TestTraceShape:
         assert resumed  # heavy single-server load must preempt someone
 
 
+def _present_at(trace, t: float) -> list[float]:
+    """Priorities of everyone who arrived strictly before ``t`` and left no earlier."""
+    return [
+        r.priority
+        for r in trace.records
+        if r.arrival_time < t and (r.departure_time is None or r.departure_time >= t)
+    ]
+
+
+class TestSnapshotContents:
+    """Snapshots against the population the records imply, beyond the stable case."""
+
+    @pytest.mark.parametrize(
+        "alpha, c, horizon, quantile",
+        [
+            (5.0, 2, 200.0, None),  # overloaded: the population grows linearly
+            (45.0, 50, 10.0, None),  # many servers
+            (1.5, 2, 300.0, lambda u: 0.25 if u < 0.5 else 0.75),  # many equal displays
+        ],
+        ids=["overloaded", "many-server", "step-quantile"],
+    )
+    def test_snapshots_match_reconstruction_and_ascend(self, alpha, c, horizon, quantile) -> None:
+        trace = simulate(SimConfig(SystemParams(alpha, c), horizon, 8, priority_quantile=quantile))
+        assert max(map(len, (s.priorities for s in trace.snapshots))) > c
+        for snap in trace.snapshots:
+            assert list(snap.priorities) == sorted(_present_at(trace, snap.time))
+            assert all(a <= b for a, b in zip(snap.priorities, snap.priorities[1:]))
+
+    def test_signed_zero_displays_keep_their_own_signs(self) -> None:
+        # -0.0 == 0.0, so equality alone cannot tell which of them left.
+        quantile = lambda u: -0.0 if u < 0.3 else (0.0 if u < 0.6 else u)  # noqa: E731
+        trace = simulate(SimConfig(PARAMS, 500.0, 9, priority_quantile=quantile))
+        for snap in trace.snapshots:
+            expected = _present_at(trace, snap.time)
+            assert sorted(map(repr, snap.priorities)) == sorted(map(repr, expected))
+            assert list(snap.priorities) == sorted(expected)
+
+
 class TestDeterminism:
     def test_bitwise_reproducible(self) -> None:
         cfg = SimConfig(PARAMS, 400.0, 11)

@@ -239,6 +239,18 @@ class TestStreamingObserver:
         offline.add_snapshots(second)
         assert mixed.curve().values == offline.curve().values
 
+    @pytest.mark.parametrize("hook, bad", [("on_insert", 1.5), ("on_insert", math.nan), ("on_remove", -0.1)])
+    def test_hooks_reject_levels_outside_the_unit_interval(self, hook, bad) -> None:
+        acc = DensityAccumulator(GRID20)
+        for level in (0.1, 0.5, 1.0):
+            acc.on_insert(level)
+        acc.on_snapshot(0.0)
+        acc.on_remove(0.5)
+        state = (acc._sums[:], acc._current[:], acc._settled_at[:], acc._seen, acc._snapshots)
+        with pytest.raises(ValueError, match="outside"):
+            getattr(acc, hook)(bad)
+        assert (acc._sums, acc._current, acc._settled_at, acc._seen, acc._snapshots) == state
+
 
 class TestDelayEstimation:
     def test_interrupted_customer_worked_example(self) -> None:
