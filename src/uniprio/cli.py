@@ -365,7 +365,10 @@ def main(argv: list[str] | None = None) -> int:
         config = build_config(_resolve_settings(args))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         parser.error(str(exc))
-    result = run_experiment(config)
+    try:
+        result = run_experiment(config)
+    except OSError as exc:
+        parser.error(str(exc))
     summary = result.summary
     print(f"wrote {len(result.artifacts)} artifacts to {result.output_dir}")
     regime = "every level stable" if summary["p_star"] is None else f"p* = {summary['p_star']}"

@@ -234,9 +234,11 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
     horizon = config.horizon
     quantile = config.priority_quantile
 
-    # In service: (level, -id, display), ascending, at most c entries.
-    # Waiting: a heap of (-level, id, display), strongest first. Both orders
-    # rank the earlier arrival higher between equal levels.
+    # Every customer is keyed once as (-level, id, display), so that ascending
+    # order ranks the strongest first and, between equal levels, the earlier
+    # arrival first. In service: an ascending list of at most c keys, weakest
+    # last. Waiting: a heap of keys, strongest on top. A preempted or promoted
+    # customer moves its key between the two unchanged.
     in_service: list[tuple[float, int, float]] = []
     queue: list[tuple[float, int, float]] = []
     arrivals: list[float] = []
@@ -272,7 +274,7 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
             if keep_snapshots:
                 insort(present, display)
             customer = len(arrivals)
-            entry = (level, -customer, display)
+            entry = (-level, customer, display)
             arrivals.append(time)
             displays.append(display)
             departed.append(None)
@@ -280,17 +282,17 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
             if busy < servers:
                 insort(in_service, entry)
                 entered.append(time)
-            elif entry > in_service[0]:
+            elif entry < in_service[-1]:
                 # The house is full: the weakest customer in service loses
                 # its server, closes its spell and waits.
-                weakest, neg_displaced, weakest_display = in_service.pop(0)
-                displaced = -neg_displaced
+                weakest = in_service.pop()
+                displaced = weakest[1]
                 served[displaced] += time - entered[displaced]
-                heappush(queue, (-weakest, displaced, weakest_display))
+                heappush(queue, weakest)
                 insort(in_service, entry)
                 entered.append(time)
             else:
-                heappush(queue, (-level, customer, display))
+                heappush(queue, entry)
                 entered.append(None)
             if observer is not None:
                 observer.on_insert(level)
@@ -300,9 +302,8 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
             if next_completion > horizon:
                 break
             time = next_completion
-            # The n-th highest in service sits at ascending index busy-1-n.
-            victim_level, neg_victim, victim_display = in_service.pop(busy - 1 - int(uniform() * busy))
-            victim = -neg_victim
+            # The n-th highest in service sits at index n.
+            neg_level, victim, victim_display = in_service.pop(int(uniform() * busy))
             if keep_snapshots:
                 # Among equal displays (say -0.0 and 0.0), drop the victim's own.
                 i = bisect_left(present, victim_display)
@@ -313,11 +314,11 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
             served[victim] += time - entered[victim]
             if queue:
                 # The freed server goes to the strongest waiter.
-                neg_level, promoted, promoted_display = heappop(queue)
-                insort(in_service, (-neg_level, -promoted, promoted_display))
-                entered[promoted] = time
+                promoted = heappop(queue)
+                insort(in_service, promoted)
+                entered[promoted[1]] = time
             if observer is not None:
-                observer.on_remove(victim_level)
+                observer.on_remove(-neg_level)
             events += 1
 
     return SimTrace(

@@ -117,13 +117,17 @@ class DensityAccumulator(SimObserver):
     """Streaming per-bin population counts, mergeable across replications.
 
     As a :class:`~uniprio.des.SimObserver` it mirrors the population through
-    insert/remove hooks and accumulates the per-bin counts at every snapshot,
-    so overloaded runs never need stored snapshots. ``add_snapshots`` covers
-    the offline path. Snapshots before ``start_time`` are ignored (warm-up).
+    insert/remove hooks and counts the snapshots it sees, so overloaded runs
+    never need stored snapshots. A customer contributes one to its bin at
+    every snapshot it is present for: ``on_insert`` debits the bin by the
+    snapshots seen so far, ``on_remove`` credits it by the snapshots seen
+    then, and customers still present are credited ``live × seen`` when the
+    sums are read, by :meth:`curve` and :meth:`merge`. ``add_snapshots``
+    covers the offline path. Snapshots before ``start_time`` are ignored
+    (warm-up).
 
-    Every sum is an integer count held exactly in a float, so the observer
-    can add a bin's count lazily, once per change of that count, and the
-    offline path can add whole blocks of counts, without changing a bit.
+    Every sum is an integer count held exactly in a float, so debits, credits
+    and whole blocks of offline counts add up without changing a bit.
     """
 
     def __init__(self, grid: BinGrid, start_time: float = 0.0) -> None:
@@ -132,14 +136,13 @@ class DensityAccumulator(SimObserver):
         self._n = n = grid.n_bins
         self._sums = [0.0] * n
         self._snapshots = 0
-        # Observer state: the live count per bin, the snapshots seen through
-        # on_snapshot, and that clock's value when each bin's sum was settled.
+        # Observer state: the live count per bin and the snapshots seen
+        # through on_snapshot.
         self._current = [0] * n
         self._seen = 0
-        self._settled_at = [0] * n
 
     def _move(self, priority: float, step: int) -> None:
-        """Settle ``priority``'s bin up to the snapshots seen, then move its count by ``step``.
+        """Move ``priority``'s bin count by ``step``, debiting an entry and crediting an exit.
 
         Bins by :meth:`BinGrid.index_of`'s rule with the bin count cached, as
         this runs at every arrival and departure.
@@ -150,16 +153,13 @@ class DensityAccumulator(SimObserver):
         b = int(priority * n)
         if b == n:
             b -= 1
-        count = self._current[b]
-        self._sums[b] += count * (self._seen - self._settled_at[b])
-        self._settled_at[b] = self._seen
-        self._current[b] = count + step
+        self._sums[b] -= step * self._seen
+        self._current[b] += step
 
-    def _settle(self) -> None:
+    def _totals(self) -> list[float]:
+        """Per-bin sums with the customers still present credited for the snapshots seen."""
         seen = self._seen
-        for b, count in enumerate(self._current):
-            self._sums[b] += count * (seen - self._settled_at[b])
-        self._settled_at = [seen] * self._n
+        return [s + count * seen for s, count in zip(self._sums, self._current)]
 
     def on_insert(self, priority: float) -> None:
         self._move(priority, 1)
@@ -207,20 +207,22 @@ class DensityAccumulator(SimObserver):
         return self._snapshots
 
     def merge(self, other: "DensityAccumulator") -> "DensityAccumulator":
+        """Add ``other``'s sums, crediting its customers still present; ``other`` is unchanged."""
         if other.grid != self.grid:
             raise ValueError("cannot merge accumulators on different grids")
-        other._settle()  # this accumulator's own pending counts stay lazy
-        self._sums = [a + b for a, b in zip(self._sums, other._sums)]
+        self._sums = [a + b for a, b in zip(self._sums, other._totals())]
         self._snapshots += other._snapshots
         return self
 
     def curve(self) -> CurveEstimate:
-        """Density curve: bin count times mean per-bin population per snapshot."""
+        """Density curve: bin count times mean per-bin population per snapshot.
+
+        With no snapshot accumulated every bin is None (no data).
+        """
         if self._snapshots == 0:
-            raise ValueError("no snapshots accumulated")
-        self._settle()
+            return CurveEstimate(self.grid, (None,) * self._n)
         n = self._n
-        values = tuple(ExtendedReal(n * s / self._snapshots) for s in self._sums)
+        values = tuple(ExtendedReal(n * s / self._snapshots) for s in self._totals())
         return CurveEstimate(self.grid, values)
 
 
@@ -233,19 +235,17 @@ class RecordBinStats:
     """Mergeable per-bin delay tallies over customers.
 
     Tracks, per bin, the number of departed and censored customers and the
-    summed sojourn and waiting times of the departed ones; curves for either
-    censoring policy come out of the same tallies. Waiting is
-    :attr:`uniprio.des.CustomerRecord.waiting`, the total time out of service
-    (sojourn minus ``service_time``).
+    summed sojourn and waiting times of the departed ones, as the four rows
+    of one ``(4, n_bins)`` float array that holds every count exactly.
+    Curves for either censoring policy come out of the same tallies. Waiting
+    is :attr:`uniprio.des.CustomerRecord.waiting`, the total time out of
+    service (sojourn minus ``service_time``).
     """
 
     def __init__(self, grid: BinGrid) -> None:
         self.grid = grid
-        n = grid.n_bins
-        self._departed = [0] * n
-        self._censored = [0] * n
-        self._sojourn = [0.0] * n
-        self._waiting = [0.0] * n
+        # Rows: departed, censored, sojourn sum, waiting sum.
+        self._tallies = np.zeros((4, grid.n_bins))
 
     def add(
         self, trace_or_records: SimTrace | Iterable[CustomerRecord], start_time: float = 0.0
@@ -289,52 +289,48 @@ class RecordBinStats:
         still_in = _bin_indices(q[kept & ~done], n)
         sojourn = np.array(departure, dtype=np.float64)[finished] - a[finished]
         waiting = sojourn - np.array(served, dtype=np.float64)[finished]
-        return self._combine(
-            np.bincount(bins, minlength=n).tolist(),
-            np.bincount(still_in, minlength=n).tolist(),
-            np.bincount(bins, weights=sojourn, minlength=n).tolist(),
-            np.bincount(bins, weights=waiting, minlength=n).tolist(),
+        self._tallies += (
+            np.bincount(bins, minlength=n),
+            np.bincount(still_in, minlength=n),
+            np.bincount(bins, weights=sojourn, minlength=n),
+            np.bincount(bins, weights=waiting, minlength=n),
         )
+        return self
 
     def merge(self, other: "RecordBinStats") -> "RecordBinStats":
         if other.grid != self.grid:
             raise ValueError("cannot merge stats on different grids")
-        return self._combine(other._departed, other._censored, other._sojourn, other._waiting)
-
-    def _combine(self, departed, censored, sojourn, waiting) -> "RecordBinStats":
-        self._departed = [a + b for a, b in zip(self._departed, departed)]
-        self._censored = [a + b for a, b in zip(self._censored, censored)]
-        self._sojourn = [a + b for a, b in zip(self._sojourn, sojourn)]
-        self._waiting = [a + b for a, b in zip(self._waiting, waiting)]
+        self._tallies += other._tallies
         return self
 
     @property
     def departed_total(self) -> int:
-        return sum(self._departed)
+        return int(self._tallies[0].sum())
 
     @property
     def censored_total(self) -> int:
-        return sum(self._censored)
+        return int(self._tallies[1].sum())
 
     def censored_count(self, i: int) -> int:
         """Customers still present at the horizon tallied in bin ``i``."""
-        return self._censored[i]
+        return int(self._tallies[1, i])
 
     def sojourn_curve(self, policy: CensoredPolicy = CensoredPolicy.INFINITE) -> CurveEstimate:
-        return self._curve(self._sojourn, policy)
+        return self._curve(2, policy)
 
     def waiting_curve(self, policy: CensoredPolicy = CensoredPolicy.INFINITE) -> CurveEstimate:
-        return self._curve(self._waiting, policy)
+        return self._curve(3, policy)
 
-    def _curve(self, sums: list[float], policy: CensoredPolicy) -> CurveEstimate:
+    def _curve(self, row: int, policy: CensoredPolicy) -> CurveEstimate:
+        departed, censored, sums = self._tallies[[0, 1, row]].tolist()
         values: list[ExtendedReal | None] = []
-        for i in range(self.grid.n_bins):
-            if policy is CensoredPolicy.INFINITE and self._censored[i] > 0:
+        for d, c, s in zip(departed, censored, sums):
+            if policy is CensoredPolicy.INFINITE and c > 0:
                 values.append(INFINITY)
-            elif self._departed[i] == 0:
+            elif d == 0:
                 values.append(None)
             else:
-                values.append(ExtendedReal(sums[i] / self._departed[i]))
+                values.append(ExtendedReal(s / d))
         return CurveEstimate(self.grid, tuple(values))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -312,6 +313,29 @@ class TestMain:
         assert "seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--horizon", "0.01"], ["--horizon", "5", "--warmup", "0.99"]],
+        ids=["short", "warmup"],
+    )
+    def test_run_with_no_arrival_after_warmup_reports_no_data(self, tmp_path, flags) -> None:
+        out = tmp_path / "run"
+        assert main([*flags, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["totals"]["snapshots"] == 0
+        density = summary["curves"]["density"]
+        assert density["mismatched"] == len(density["bins"]) == 20
+        assert all(b["estimate"] is None for b in density["bins"])
+
+    def test_output_directory_error_is_a_usage_error(self, tmp_path, capsys) -> None:
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["--horizon", "10", "--out", str(taken)])
+        assert exc.value.code == 2  # parser.error
+        err = capsys.readouterr().err
+        assert "uniprio: error:" in err and "File exists" in err
+
     def test_policy_flag(self, tmp_path) -> None:
         out = tmp_path / "run"
         main(
@@ -323,6 +347,42 @@ class TestMain:
         )
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["policy"] == "exclude"
+
+
+# SHA-256 of the estimator outputs of two small experiments: an overloaded
+# run with warm-up under the infinite policy, and a stable two-replication
+# run under the exclude policy.
+ESTIMATE_DIGESTS = {
+    "overloaded-warmup-infinite": (
+        dict(params=SystemParams(5.0, 2), horizon=40.0, delta=0.1, seed=5, warmup_fraction=0.25),
+        {
+            "summary.json": "8a9754ba5740073a07af188b5a75ca0cadcf65e99a379152b7f106d297fa1dc5",
+            "estimate_density.csv": "88b1afe8f58727e364424a82d4928018cbe237c8856ea88342da2899fd502fd6",
+            "estimate_sojourn.csv": "bd33a2ec06b39c4cd2539a205307bb4271cd5d553591bf53037b3fea1727571b",
+            "estimate_waiting.csv": "0ab635c182f69c36924c31778bb46f2e72e54082b6a9f11ae7e805d8b01cd484",
+        },
+    ),
+    "stable-exclude-2reps": (
+        dict(
+            params=SystemParams(1.5, 2), horizon=150.0, delta=0.125, seed=9, replications=2,
+            censored_policy=CensoredPolicy.EXCLUDE,
+        ),
+        {
+            "summary.json": "cc6ef7b7b1f2da8dfbf8289e0d2ae29587af531c6a6b5fe78d99530baf489fd7",
+            "estimate_density.csv": "64ca02e98e8447593002f20b0ea275527b551ff74dfcc65f0973986c0537ad4f",
+            "estimate_sojourn.csv": "8b05bbba2d51ae4d6ea0ecdf07a64ef13f7c91438b817d57dde3afe27add2132",
+            "estimate_waiting.csv": "7e68560d9293e9dd4add51edc6e69c6023d76fb9a410e833a1132a6ca04145df",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_DIGESTS))
+def test_estimator_output_bytes_are_pinned(tmp_path, name) -> None:
+    settings, digests = ESTIMATE_DIGESTS[name]
+    run_experiment(ExperimentConfig(output_dir=tmp_path, **settings))
+    found = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
+    assert found == digests
 
 
 def test_presets_are_self_consistent() -> None:
@@ -344,3 +404,13 @@ def test_module_entry_point_runs_without_runtime_warning() -> None:
     )
     assert result.returncode == 0, result.stderr
     assert "RuntimeWarning" not in result.stderr
+
+
+def test_package_exports_each_module_public_name_once() -> None:
+    modules = (uniprio.analytics, uniprio.des, uniprio.estimate, uniprio.oracle)
+    union = {"__version__"}.union(*(m.__all__ for m in modules))
+    assert sorted(uniprio.__all__) == sorted(union)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(uniprio, name) is getattr(module, name)
+    assert uniprio.__version__ == "0.1.0"

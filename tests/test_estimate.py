@@ -39,7 +39,8 @@ def record(
 
 
 def tallies(stats: RecordBinStats) -> tuple[list, ...]:
-    return stats._departed, stats._censored, stats._sojourn, stats._waiting
+    """Departed, censored, sojourn and waiting tallies, one fresh list each."""
+    return tuple(stats._tallies.tolist())
 
 
 def loop_tallies(records, grid: BinGrid, start_time: float) -> tuple[list, ...]:
@@ -115,9 +116,12 @@ class TestDensityEstimation:
         assert curve.values[0] == ExtendedReal(3.0)
         assert curve.values[1] == ExtendedReal(0.0)
 
-    def test_rejects_empty_input(self) -> None:
-        with pytest.raises(ValueError):
-            DensityAccumulator(BinGrid(0.5)).add_snapshots([]).curve()
+    def test_no_snapshots_give_no_data_in_every_bin(self) -> None:
+        acc = DensityAccumulator(BinGrid(0.25), start_time=1.0)
+        acc.add_snapshots([Snapshot(0.5, (0.1, 0.6))])
+        acc.on_insert(0.3)
+        assert acc.snapshot_count == 0
+        assert acc.curve().values == (None,) * 4
 
     def test_total_mass_matches_mean_population(self) -> None:
         trace = simulate(SimConfig(SystemParams(1.5, 2), 500.0, 8))
@@ -202,7 +206,7 @@ class TestDensityEstimation:
 
 
 class TestStreamingObserver:
-    """The observer settles each bin lazily; its curves must equal the offline ones."""
+    """The observer credits each customer on exit; its curves must equal the offline ones."""
 
     CONFIG = SystemParams(5.0, 2), 150.0
     SEEDS = (21, 22, 23)
@@ -234,7 +238,7 @@ class TestStreamingObserver:
         offline.add_snapshots(first).add_snapshots(second).add_snapshots(first)
         assert mixed.snapshot_count == offline.snapshot_count
         assert mixed.curve().values == offline.curve().values
-        # A curve settles the observer's bins; more offline input still adds exactly.
+        # Reading a curve changes nothing; more offline input still adds exactly.
         mixed.add_snapshots(second)
         offline.add_snapshots(second)
         assert mixed.curve().values == offline.curve().values
@@ -246,10 +250,22 @@ class TestStreamingObserver:
             acc.on_insert(level)
         acc.on_snapshot(0.0)
         acc.on_remove(0.5)
-        state = (acc._sums[:], acc._current[:], acc._settled_at[:], acc._seen, acc._snapshots)
+        state = (acc._sums[:], acc._current[:], acc._seen, acc._snapshots)
         with pytest.raises(ValueError, match="outside"):
             getattr(acc, hook)(bad)
-        assert (acc._sums, acc._current, acc._settled_at, acc._seen, acc._snapshots) == state
+        assert (acc._sums, acc._current, acc._seen, acc._snapshots) == state
+
+    def test_merge_leaves_its_argument_unchanged(self) -> None:
+        (first, _), (second, _), _ = self.runs()
+        assert second._current != [0] * GRID20.n_bins  # customers still present
+        state = (second._sums[:], second._current[:], second._seen, second._snapshots)
+        curve = second.curve().values
+        first.merge(second)
+        assert (second._sums, second._current, second._seen, second._snapshots) == state
+        assert second.curve().values == curve
+        # The merged-in customers still present are credited once, not twice.
+        again = DensityAccumulator(GRID20, self.START).merge(first)
+        assert again.curve().values == first.curve().values
 
 
 class TestDelayEstimation:
