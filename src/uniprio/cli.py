@@ -179,7 +179,7 @@ def replication_seed(base_seed: int, replication: int) -> int:
     return base_seed + replication
 
 
-def _replicate(config: ExperimentConfig, r: int) -> tuple[DensityAccumulator, RecordBinStats, int]:
+def _replicate(config: ExperimentConfig, r: int) -> tuple[DensityAccumulator, RecordBinStats]:
     """Simulate, write and reduce replication ``r``; its trace never leaves this call."""
     out = config.output_dir
     start_time = config.warmup_fraction * config.horizon
@@ -188,7 +188,7 @@ def _replicate(config: ExperimentConfig, r: int) -> tuple[DensityAccumulator, Re
     write_snapshots_csv(trace.snapshots, out / f"snapshots_rep{r:03d}.csv")
     density = DensityAccumulator(config.grid, start_time).add_snapshots(trace.snapshots)
     delays = RecordBinStats(config.grid).add(trace, start_time)
-    return density, delays, len(trace)
+    return density, delays
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -199,9 +199,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ``estimate_{density,sojourn,waiting}.csv``, dense
     ``analytic_{density,sojourn,waiting}.csv`` at ``curve_resolution`` points,
     and ``summary.json``. Each replication is simulated, written and reduced
-    where it runs: in this process when ``workers == 1``, otherwise in a
-    worker process. The reductions are merged in replication order, so the
-    pooled files and the summary do not depend on the worker count.
+    where it runs: in a pool of ``min(workers, replications)`` processes, or
+    in this process when that is one. The reductions are merged in
+    replication order, so the pooled files and the summary do not depend on
+    the worker count. The summary's totals count the customers arriving at or
+    after the warm-up, each departed or censored, and the snapshots they saw.
     """
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -210,17 +212,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     density = DensityAccumulator(config.grid)
     delays = RecordBinStats(config.grid)
     artifacts: dict[str, Path] = {}
-    customers = 0
 
-    with ProcessPoolExecutor(config.workers) if config.workers > 1 else nullcontext() as pool:
+    # A fork-started pool launches every worker at the first submit, so it
+    # never gets more workers than replications.
+    workers = min(config.workers, config.replications)
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         replicate = map if pool is None else pool.map
         results = replicate(_replicate, repeat(config), range(config.replications))
-        for r, (rep_density, rep_delays, rep_customers) in enumerate(results):
+        for r, (rep_density, rep_delays) in enumerate(results):
             for kind in ("trace", "snapshots"):
                 artifacts[f"{kind}_rep{r:03d}"] = out / f"{kind}_rep{r:03d}.csv"
             density.merge(rep_density)
             delays.merge(rep_delays)
-            customers += rep_customers
 
     curves = {
         "density": density.curve(),
@@ -250,7 +253,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "regime": regime.tag.value,
         "totals": {
             "replications": config.replications,
-            "customers": customers,
+            "customers": delays.departed_total + delays.censored_total,
             "departed": delays.departed_total,
             "censored": delays.censored_total,
             "snapshots": density.snapshot_count,
@@ -343,13 +346,21 @@ def _integer(settings: Mapping, key: str) -> int:
     return int(value)
 
 
+def _path(settings: Mapping, key: str) -> Path:
+    # A flag gives a Path and a config file a string; 5 and null are refused.
+    value = settings[key]
+    if not isinstance(value, (str, Path)):
+        raise ValueError(f"{key} must be a path string, got {value!r}")
+    return Path(value)
+
+
 def build_config(settings: Mapping) -> ExperimentConfig:
     return ExperimentConfig(
         params=SystemParams(_real(settings, "alpha"), _integer(settings, "servers")),
         horizon=_real(settings, "horizon"),
         delta=_real(settings, "delta"),
         seed=_integer(settings, "seed"),
-        output_dir=Path(settings["out"]),
+        output_dir=_path(settings, "out"),
         replications=_integer(settings, "replications"),
         censored_policy=CensoredPolicy(settings["policy"]),
         warmup_fraction=_real(settings, "warmup"),

@@ -142,9 +142,8 @@ class SimTrace:
     :class:`CustomerRecord` field after ``customer_id``: ``service_time`` is
     None exactly where ``departure_time`` is. :attr:`records` builds the
     records on first access; ``len(trace)`` counts customers without them.
-
-    ``final_population`` equals the number of censored records: customers in
-    system when the horizon cut the run off.
+    The run's counts, :attr:`final_population` and :attr:`event_count`, are
+    derived from the columns.
     """
 
     priority: tuple[float, ...]
@@ -153,11 +152,19 @@ class SimTrace:
     departure_time: tuple[float | None, ...]
     service_time: tuple[float | None, ...]
     snapshots: tuple[Snapshot, ...]
-    event_count: int
-    final_population: int
 
     def __len__(self) -> int:
         return len(self.arrival_time)
+
+    @property
+    def final_population(self) -> int:
+        """Customers in system when the horizon cut the run off: the censored ones."""
+        return self.departure_time.count(None)
+
+    @property
+    def event_count(self) -> int:
+        """Events processed: one arrival per customer plus one departure per departed one."""
+        return 2 * len(self) - self.final_population
 
     @property
     def columns(self) -> tuple[Sequence, ...]:
@@ -250,7 +257,6 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
     keep_snapshots = config.record_snapshots
     # Displays of everyone present, ascending; kept only for snapshots.
     present: list[float] = []
-    events = 0
 
     time = 0.0
     next_arrival = -math.log1p(-uniform()) / alpha
@@ -296,7 +302,6 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
                 entered.append(None)
             if observer is not None:
                 observer.on_insert(level)
-            events += 1
             next_arrival = time + (-math.log1p(-uniform()) / alpha)
         else:
             if next_completion > horizon:
@@ -319,7 +324,6 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
                 entered[promoted[1]] = time
             if observer is not None:
                 observer.on_remove(-neg_level)
-            events += 1
 
     return SimTrace(
         priority=tuple(displays),
@@ -328,8 +332,6 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
         departure_time=tuple(departed),
         service_time=tuple(None if d is None else s for d, s in zip(departed, served)),
         snapshots=tuple(snapshots),
-        event_count=events,
-        final_population=len(in_service) + len(queue),
     )
 
 

@@ -12,7 +12,7 @@ its bin infinite), the Exclude policy drops them.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -48,9 +48,11 @@ class BinGrid:
     1e-9, which admits values like 1/3 that floating point cannot hold
     exactly). Bin ``i`` covers ``[i*delta, (i+1)*delta)`` with center
     ``(i + 1/2) * delta``; a priority of exactly 1.0 folds into the top bin.
+    ``n_bins`` is derived from ``delta`` once, at construction.
     """
 
     delta: float
+    n_bins: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", float(self.delta))
@@ -59,10 +61,7 @@ class BinGrid:
         n = round(1.0 / self.delta)
         if n < 1 or abs(n * self.delta - 1.0) > 1e-9:
             raise ValueError(f"delta must be the reciprocal of a positive integer, got {self.delta}")
-
-    @property
-    def n_bins(self) -> int:
-        return round(1.0 / self.delta)
+        object.__setattr__(self, "n_bins", n)
 
     @property
     def centers(self) -> tuple[float, ...]:
@@ -84,6 +83,15 @@ class BinGrid:
         i = int(p * n)
         return i if i < n else n - 1
 
+    def indices(self, levels: Iterable[float] | np.ndarray) -> np.ndarray:
+        """:meth:`index_of` over an array of priorities, with the same check."""
+        q = np.asarray(levels, dtype=np.float64)
+        outside = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both comparisons
+        if outside.size:
+            raise ValueError(f"priority {outside[0]} outside [0, 1] fits no bin")
+        n = self.n_bins
+        return np.minimum((q * n).astype(np.int64), n - 1)
+
 
 @dataclass(frozen=True)
 class CurveEstimate:
@@ -101,11 +109,6 @@ class CurveEstimate:
             raise ValueError(
                 f"expected {self.grid.n_bins} values, got {len(self.values)}"
             )
-
-
-def _bin_indices(q: np.ndarray, n: int) -> np.ndarray:
-    """:meth:`BinGrid.index_of` over ``n`` bins for priorities already checked to lie in [0, 1]."""
-    return np.minimum((q * n).astype(np.int64), n - 1)
 
 
 # Snapshot entries binned per numpy call in ``DensityAccumulator.add_snapshots``:
@@ -133,23 +136,22 @@ class DensityAccumulator(SimObserver):
     def __init__(self, grid: BinGrid, start_time: float = 0.0) -> None:
         self.grid = grid
         self.start_time = start_time
-        self._n = n = grid.n_bins
-        self._sums = [0.0] * n
+        self._sums = [0.0] * grid.n_bins
         self._snapshots = 0
         # Observer state: the live count per bin and the snapshots seen
         # through on_snapshot.
-        self._current = [0] * n
+        self._current = [0] * grid.n_bins
         self._seen = 0
 
     def _move(self, priority: float, step: int) -> None:
         """Move ``priority``'s bin count by ``step``, debiting an entry and crediting an exit.
 
-        Bins by :meth:`BinGrid.index_of`'s rule with the bin count cached, as
-        this runs at every arrival and departure.
+        Bins by :meth:`BinGrid.index_of`'s rule written out inline, as this
+        runs at every arrival and departure.
         """
         if not 0.0 <= priority <= 1.0:
             raise ValueError(f"priority {priority} outside [0, 1] fits no bin")
-        n = self._n
+        n = self.grid.n_bins
         b = int(priority * n)
         if b == n:
             b -= 1
@@ -192,13 +194,8 @@ class DensityAccumulator(SimObserver):
         return self
 
     def _add_block(self, block: list[float], snapshots: int) -> None:
-        """Bin ``block``, the levels of ``snapshots`` snapshots, by :meth:`BinGrid.index_of`'s rule."""
-        q = np.array(block, dtype=np.float64)
-        outside = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both comparisons
-        if outside.size:
-            raise ValueError(f"priority {outside[0]} outside [0, 1] fits no bin")
-        n = self._n
-        counts = np.bincount(_bin_indices(q, n), minlength=n)
+        """Bin ``block``, the levels of ``snapshots`` snapshots."""
+        counts = np.bincount(self.grid.indices(block), minlength=self.grid.n_bins)
         self._sums = [s + c for s, c in zip(self._sums, counts.tolist())]
         self._snapshots += snapshots
 
@@ -219,9 +216,9 @@ class DensityAccumulator(SimObserver):
 
         With no snapshot accumulated every bin is None (no data).
         """
+        n = self.grid.n_bins
         if self._snapshots == 0:
-            return CurveEstimate(self.grid, (None,) * self._n)
-        n = self._n
+            return CurveEstimate(self.grid, (None,) * n)
         values = tuple(ExtendedReal(n * s / self._snapshots) for s in self._totals())
         return CurveEstimate(self.grid, values)
 
@@ -253,9 +250,10 @@ class RecordBinStats:
         """Tally customers whose arrival is at or after ``start_time``.
 
         A trace hands over its columns; records are transposed into the same
-        columns. Every customer to be tallied is checked first: a priority
-        outside [0, 1] (or NaN), or a departed customer without a service
-        entry or a service time, raises ValueError and changes no tally.
+        columns. Every customer to be tallied is checked first, and a fault
+        raises ValueError and changes no tally: first any priority outside
+        [0, 1] (or NaN), then any departed customer without a service entry
+        or a service time.
 
         Each tally is one ``np.bincount``, which adds in input order, so one
         call on a fresh instance sums exactly as a loop over the customers
@@ -269,31 +267,27 @@ class RecordBinStats:
                 return self
         ids, priority, arrival, entered, departure, served = columns
         a = np.array(arrival, dtype=np.float64)
-        q = np.array(priority, dtype=np.float64)
         kept = ~(a < start_time)
-        outside = ~((q >= 0.0) & (q <= 1.0))  # NaN fails both comparisons
+        bins = self.grid.indices(np.array(priority, dtype=np.float64)[kept])
         done = ~_is_none(departure)
         no_entry = done & _is_none(entered)
         no_time = done & _is_none(served)
-        bad = np.flatnonzero(kept & (outside | no_entry | no_time))
+        bad = np.flatnonzero(kept & (no_entry | no_time))
         if bad.size:
             i = bad[0]
-            if outside[i]:
-                raise ValueError(f"priority {priority[i]} outside [0, 1] fits no bin")
             missing = "service entry" if no_entry[i] else "service time"
             raise ValueError(f"departed customer {ids[i]} has no {missing}")
 
         n = self.grid.n_bins
         finished = kept & done
-        bins = _bin_indices(q[finished], n)
-        still_in = _bin_indices(q[kept & ~done], n)
         sojourn = np.array(departure, dtype=np.float64)[finished] - a[finished]
         waiting = sojourn - np.array(served, dtype=np.float64)[finished]
+        left, still_in = bins[done[kept]], bins[~done[kept]]
         self._tallies += (
-            np.bincount(bins, minlength=n),
+            np.bincount(left, minlength=n),
             np.bincount(still_in, minlength=n),
-            np.bincount(bins, weights=sojourn, minlength=n),
-            np.bincount(bins, weights=waiting, minlength=n),
+            np.bincount(left, weights=sojourn, minlength=n),
+            np.bincount(left, weights=waiting, minlength=n),
         )
         return self
 

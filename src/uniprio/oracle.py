@@ -121,10 +121,11 @@ def reference_simulate(config: SimConfig) -> SimTrace:
 
     Deliberately a second implementation: waiting customers sit in one heap
     ordered by (priority, arrival order), in-service customers carry
-    individually drawn unit-mean completion times in another, and preemption
-    discards the victim's clock (a fresh one is drawn at reentry, which
-    memorylessness makes harmless). A customer's ``service_time`` sums the
-    spells closed by preemption and by its completion. Distribution-equal to
+    individually drawn unit-mean completion times in a dict of at most c
+    clocks that is scanned for each event, and preemption discards the
+    victim's clock (a fresh one is drawn at reentry, which memorylessness
+    makes harmless). A customer's ``service_time`` sums the spells closed by
+    preemption and by its completion. Distribution-equal to
     :func:`uniprio.des.simulate`, never bitwise-equal: the random stream is
     spent differently (one service draw per service entry, no victim choice).
 
@@ -146,33 +147,22 @@ def reference_simulate(config: SimConfig) -> SimTrace:
     levels: dict[int, float] = {}  # everyone currently present
 
     waiting: list[tuple[float, int]] = []  # (-level, id): best waiter on top
-    in_service: dict[int, int] = {}  # id -> current service spell number
-    completions: list[tuple[float, int, int]] = []  # (time, id, spell)
-    weakest: list[tuple[float, int, int]] = []  # (level, -id, spell)
-    spells: list[int] = []  # per-customer service spell counter
+    clocks: dict[int, float] = {}  # in service: id -> completion time
 
     snapshots: list[Snapshot] = []
     keep_snapshots = config.record_snapshots
-    events = 0
 
     def enter_service(cid: int, now: float) -> None:
-        spells[cid] += 1
-        spell = spells[cid]
-        in_service[cid] = spell
         entered[cid] = now
-        duration = -math.log1p(-uniform())
-        heapq.heappush(completions, (now + duration, cid, spell))
-        heapq.heappush(weakest, (levels[cid], -cid, spell))
+        clocks[cid] = now - math.log1p(-uniform())  # unit-mean exponential
 
     time = 0.0
     next_arrival = -math.log1p(-uniform()) / alpha
     while True:
-        while completions:
-            _, cid, spell = completions[0]
-            if in_service.get(cid) == spell:
-                break
-            heapq.heappop(completions)
-        next_completion = completions[0][0] if completions else math.inf
+        # Ties between equal completion times go to the earlier arrival.
+        next_completion, leaving = min(
+            ((t, cid) for cid, t in clocks.items()), default=(math.inf, -1)
+        )
 
         if next_arrival <= next_completion:
             if next_arrival > horizon:
@@ -190,39 +180,32 @@ def reference_simulate(config: SimConfig) -> SimTrace:
             entered.append(None)
             departed.append(None)
             served.append(0.0)
-            spells.append(0)
             levels[cid] = level
-            if len(in_service) < servers:
+            if len(clocks) < servers:
                 enter_service(cid, time)
             else:
-                while True:
-                    weak_level, weak_neg, weak_spell = weakest[0]
-                    if in_service.get(-weak_neg) == weak_spell:
-                        break
-                    heapq.heappop(weakest)
+                # The weakest in service: lowest level, then latest arrival.
+                weak_level, weak_neg = min((levels[i], -i) for i in clocks)
                 if level > weak_level:
-                    heapq.heappop(weakest)
                     victim = -weak_neg
-                    del in_service[victim]  # clock discarded, entry time kept
+                    del clocks[victim]  # clock discarded, entry time kept
                     served[victim] += time - entered[victim]
                     heapq.heappush(waiting, (-weak_level, victim))
                     enter_service(cid, time)
                 else:
                     heapq.heappush(waiting, (-level, cid))
-            events += 1
             next_arrival = time + (-math.log1p(-uniform()) / alpha)
         else:
             if next_completion > horizon:
                 break
-            time, cid, _ = heapq.heappop(completions)
-            del in_service[cid]
-            del levels[cid]
-            departed[cid] = time
-            served[cid] += time - entered[cid]
+            time = next_completion
+            del clocks[leaving]
+            del levels[leaving]
+            departed[leaving] = time
+            served[leaving] += time - entered[leaving]
             if waiting:
                 _, promoted = heapq.heappop(waiting)
                 enter_service(promoted, time)
-            events += 1
 
     return SimTrace(
         priority=tuple(displays),
@@ -231,6 +214,4 @@ def reference_simulate(config: SimConfig) -> SimTrace:
         departure_time=tuple(departed),
         service_time=tuple(None if d is None else s for d, s in zip(departed, served)),
         snapshots=tuple(snapshots),
-        event_count=events,
-        final_population=len(levels),
     )

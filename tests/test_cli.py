@@ -162,6 +162,44 @@ class TestRunExperiment:
         assert len(set(own)) == 5  # distinct, so any reordering would show
         assert merged == own
 
+    def test_warmup_totals_count_each_customer_once(self, tmp_path) -> None:
+        cfg = dict(params=SystemParams(5.0, 2), horizon=40.0, warmup_fraction=0.25)
+        one = run_experiment(tiny_config(tmp_path / "one", **cfg))
+        two = run_experiment(tiny_config(tmp_path / "two", workers=2, **cfg))
+        totals = one.summary["totals"]
+        assert totals["customers"] == totals["departed"] + totals["censored"] == totals["snapshots"]
+        assert totals["censored"] > 0
+        summary = (one.output_dir / "summary.json").read_bytes()
+        assert (two.output_dir / "summary.json").read_bytes() == summary
+
+    @pytest.mark.parametrize(
+        "workers, replications, pool",
+        [(3, 1, None), (4, 2, 2), (2, 5, 2)],
+        ids=["one-replication", "fewer-replications", "fewer-workers"],
+    )
+    def test_pool_never_outnumbers_replications(
+        self, tmp_path, monkeypatch, workers, replications, pool
+    ) -> None:
+        started = []
+
+        class InProcessPool:
+            # Records its size and maps in this process; starts no process.
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr("uniprio.cli.ProcessPoolExecutor", InProcessPool)
+        cfg = tiny_config(tmp_path / "run", horizon=10.0, replications=replications, workers=workers)
+        run_experiment(cfg)
+        assert started == ([] if pool is None else [pool])
+
     def test_warmup_drops_early_data(self, tmp_path) -> None:
         cold = run_experiment(tiny_config(tmp_path / "cold"))
         warm = run_experiment(tiny_config(tmp_path / "warm", warmup_fraction=0.5))
@@ -290,6 +328,17 @@ class TestMain:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["config"]["servers"] == 2
 
+    @pytest.mark.parametrize("value", [5, None], ids=["number", "null"])
+    def test_config_file_rejects_non_string_out(self, tmp_path, capsys, monkeypatch, value) -> None:
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"horizon": 10.0, "out": value}))
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg_path)])
+        assert exc.value.code == 2  # parser.error
+        assert "out must be a path string" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
     def test_unknown_config_key_fails(self, tmp_path) -> None:
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps({"alhpa": 1.0}))
@@ -356,7 +405,7 @@ ESTIMATE_DIGESTS = {
     "overloaded-warmup-infinite": (
         dict(params=SystemParams(5.0, 2), horizon=40.0, delta=0.1, seed=5, warmup_fraction=0.25),
         {
-            "summary.json": "8a9754ba5740073a07af188b5a75ca0cadcf65e99a379152b7f106d297fa1dc5",
+            "summary.json": "b9fa774b0c1a121a1b5eda8270da4d2e4b6586076f515725c1224ff644df5442",
             "estimate_density.csv": "88b1afe8f58727e364424a82d4928018cbe237c8856ea88342da2899fd502fd6",
             "estimate_sojourn.csv": "bd33a2ec06b39c4cd2539a205307bb4271cd5d553591bf53037b3fea1727571b",
             "estimate_waiting.csv": "0ab635c182f69c36924c31778bb46f2e72e54082b6a9f11ae7e805d8b01cd484",

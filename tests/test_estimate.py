@@ -100,6 +100,20 @@ class TestBinGrid:
             for i, center in enumerate(grid.centers):
                 assert grid.index_of(center) == i
 
+    def test_bin_count_is_derived_from_delta(self) -> None:
+        assert repr(GRID20) == "BinGrid(delta=0.05)"
+        assert GRID20 == BinGrid(1 / 20) and hash(GRID20) == hash(BinGrid(1 / 20))
+        with pytest.raises(TypeError):
+            BinGrid(0.05, n_bins=20)
+
+    def test_indices_follow_index_of(self) -> None:
+        levels = [0.0, 0.049, 0.05, 0.5, 0.999, 1.0]
+        assert GRID20.indices(levels).tolist() == [GRID20.index_of(p) for p in levels]
+        assert GRID20.indices([]).tolist() == []
+        for bad in (-0.01, 1.01, math.nan):
+            with pytest.raises(ValueError, match=f"priority {bad} outside"):
+                GRID20.indices([0.5, bad])
+
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_index_is_monotone(self, p: float, q: float) -> None:
@@ -393,6 +407,12 @@ class TestDelayEstimation:
         with pytest.raises(ValueError, match=message):
             stats.add([*good, bad, record(10, 0.6, 5.0, 5.0, 6.0, 1.0)])
         assert tallies(stats) == before
+
+    def test_priority_faults_are_reported_before_missing_times(self) -> None:
+        stats = RecordBinStats(BinGrid(0.5))
+        with pytest.raises(ValueError, match="priority 1.5 outside"):
+            stats.add([record(0, 0.2, 1.0, None, 2.0, 1.0), record(1, 1.5, 1.5, 1.5, 2.5, 1.0)])
+        assert tallies(stats) == ([0, 0], [0, 0], [0.0, 0.0], [0.0, 0.0])
 
     @pytest.mark.parametrize(
         "bad",

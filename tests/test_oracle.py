@@ -7,13 +7,14 @@ values and structural invariants only, never against the code they audit.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from uniprio.analytics import SystemParams
-from uniprio.des import SimConfig
+from uniprio.des import SimConfig, write_snapshots_csv, write_trace_csv
 from uniprio.oracle import (
     BirthDeathSpec,
     birth_death_stationary,
@@ -150,3 +151,30 @@ class TestReferenceSimulate:
         waits = [r.waiting for r in trace.records if not r.is_censored]
         assert max(waits) > 0.0
         assert min(waits) >= 0.0
+
+
+# SHA-256 of write_trace_csv bytes followed by write_snapshots_csv bytes of
+# reference runs on one, two and fifty servers, and with a quantile map that
+# rounds displays to one decimal (so displays tie). They pin the reference's
+# draw order: one uniform per arrival level, one per service entry, one per
+# interarrival gap.
+REFERENCE_DIGESTS = {
+    "c1": (SimConfig(SystemParams(0.9, 1), 300.0, 5),
+           "4a839467ff4953c21b27deee7eab87947fa72f42615776d40407800bee0b8c10"),
+    "c2": (SimConfig(SystemParams(1.5, 2), 300.0, 2),
+           "86d31f5f41c9e3cb0b19226b55eb248dccd05fe0d4b0e068326ddde1be37a81f"),
+    "c50": (SimConfig(SystemParams(45.0, 50), 8.0, 4),
+            "f476a162ce31001379fc775b317f8c8531be931fbf8d0eddfb57547889ba49e4"),
+    "quantile": (SimConfig(SystemParams(3.0, 2), 60.0, 7, priority_quantile=lambda u: round(u, 1)),
+                 "d26dc6b18496850c11a5a032bd8b222b88af9263ada3ac5c1653fca6f17e372e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DIGESTS))
+def test_reference_csv_bytes_are_pinned(tmp_path, name) -> None:
+    config, digest = REFERENCE_DIGESTS[name]
+    trace = reference_simulate(config)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    write_snapshots_csv(trace.snapshots, tmp_path / "snaps.csv")
+    data = (tmp_path / "trace.csv").read_bytes() + (tmp_path / "snaps.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
