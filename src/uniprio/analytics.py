@@ -25,13 +25,20 @@ Numerical policy: every closed form reads the occupancy probabilities
 ``pi_0 .. pi_c`` of that subsystem from one helper, which walks the balance
 recurrence ``w_k = w_(k-1) a / k`` and rescales the weights whenever one passes
 1e280, so no ``k!`` or ``a^k`` is ever formed and any server count works.
-Stability is decided by the exact floating-point comparison
-``(1 - p) * alpha < c`` with no epsilon guard.
+The three terms the closed forms read of it, ``pi_0``, ``pi_c`` and the
+ratio ``P0' / (alpha P0)``, are computed once per load ``a`` and server count
+and shared through a bounded cache of recent loads, so the closed forms at one
+load share one walk of the recurrence; the results are unchanged bit for bit.
+Only ``tail_pmf`` inside the body ``0 < k < c`` walks it afresh. Stability is
+decided by the exact floating-point comparison ``(1 - p) * alpha < c`` with no
+epsilon guard.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,6 +64,21 @@ __all__ = [
 # Occupancy weights are rescaled to 1 once one of them exceeds this.
 _RESCALE_ABOVE = 1e280
 
+# Loads whose per-load terms are kept. A dense curve revisits its loads: the
+# closed forms of one curve point share a load, mean_measure's adjacent
+# intervals share an endpoint, and the driver scores its estimates at bin
+# centres among the 201 points of its analytic curves. 4096 holds every load
+# of a 2000-level grid plus its upper endpoints, at three floats each.
+_TERMS_CACHE_SIZE = 4096
+
+
+def _as_real(name: str, value) -> float:
+    # int, float and numpy reals pass; a bool or a string is refused rather
+    # than read as 1.0 or parsed.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
 
 class UnstableRegionError(ValueError):
     """A per-level distribution was requested where no steady state exists.
@@ -80,7 +102,7 @@ class SystemParams:
     c: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _as_real("alpha", self.alpha))
         if not math.isfinite(self.alpha) or self.alpha <= 0.0:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if isinstance(self.c, bool) or not isinstance(self.c, int):
@@ -202,8 +224,18 @@ def _slope_bracket(pi: list[float], g: float) -> float:
     return math.fsum(pi[: c - 1]) + pi[c - 1] / g + pi[c] / (c * g * g)
 
 
-def _tail(params: SystemParams, p: float, strict: bool = True) -> tuple[float, list[float]] | None:
-    # The load a = (1 - p) alpha above level p and its occupancy pi_0 .. pi_c.
+@functools.lru_cache(maxsize=_TERMS_CACHE_SIZE)
+def _load_terms(a: float, c: int) -> tuple[float, float, float]:
+    # (pi_0, pi_c, P0' / (alpha P0)) at load a: all any closed form reads of
+    # the occupancy, except tail_pmf in 0 < k < c.
+    pi = _occupancy(a, c)
+    return pi[0], pi[c], _slope_bracket(pi, 1.0 - a / c)
+
+
+def _tail(
+    params: SystemParams, p: float, strict: bool = True
+) -> tuple[float, tuple[float, float, float]] | None:
+    # The load a = (1 - p) alpha above level p and its terms from _load_terms.
     # Where no steady state exists this raises, or returns None if not strict.
     p = _check_level(p)
     if not is_stable(params, p):
@@ -214,7 +246,7 @@ def _tail(params: SystemParams, p: float, strict: bool = True) -> tuple[float, l
             f"thinned arrival rate {(1.0 - p) * params.alpha} is not below {params.c}"
         )
     a = (1.0 - p) * params.alpha
-    return a, _occupancy(a, params.c)
+    return a, _load_terms(a, params.c)
 
 
 def p0_mass(params: SystemParams, p: float) -> float:
@@ -244,8 +276,8 @@ def p0_derivative(params: SystemParams, p: float) -> float:
 
     For a single server this collapses to ``alpha`` at every stable level.
     """
-    a, pi = _tail(params, p)
-    return pi[0] * params.alpha * _slope_bracket(pi, 1.0 - a / params.c)
+    _, (p0, _, slope) = _tail(params, p)
+    return p0 * params.alpha * slope
 
 
 def tail_pmf(params: SystemParams, p: float, k: int) -> float:
@@ -263,11 +295,13 @@ def tail_pmf(params: SystemParams, p: float, k: int) -> float:
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    a, pi = _tail(params, p)
+    a, (p0, pi_c, _) = _tail(params, p)
     c = params.c
-    if k <= c:
-        return pi[k]
-    return pi[c] * (a / c) ** (k - c)
+    if k == 0:
+        return p0
+    if k < c:
+        return _occupancy(a, c)[k]
+    return pi_c * (a / c) ** (k - c)
 
 
 def expected_tail_count(params: SystemParams, p: float) -> ExtendedReal:
@@ -284,10 +318,10 @@ def expected_tail_count(params: SystemParams, p: float) -> ExtendedReal:
     tail = _tail(params, p, strict=False)
     if tail is None:
         return INFINITY
-    a, pi = tail
+    a, (_, pi_c, _) = tail
     c = params.c
     g = 1.0 - a / c
-    return ExtendedReal(a + a * pi[c] / (c * g * g))
+    return ExtendedReal(a + a * pi_c / (c * g * g))
 
 
 def priority_density(params: SystemParams, p: float) -> ExtendedReal:
@@ -334,12 +368,12 @@ def waiting_time(params: SystemParams, p: float) -> ExtendedReal:
     tail = _tail(params, p, strict=False)
     if tail is None:
         return INFINITY
-    a, pi = tail
+    a, (_, pi_c, slope) = tail
     c = params.c
     g = 1.0 - a / c
     # P0' / P0 enters through _slope_bracket, never as a quotient: P0 may underflow.
-    bracket = ((c + 1) - a * _slope_bracket(pi, g)) / (c * g * g) + 2.0 * a / (c * c * g * g * g)
-    return ExtendedReal(pi[c] * bracket)
+    bracket = ((c + 1) - a * slope) / (c * g * g) + 2.0 * a / (c * c * g * g * g)
+    return ExtendedReal(pi_c * bracket)
 
 
 def mean_measure(params: SystemParams, a: float, b: float) -> ExtendedReal:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from typing import Callable, Mapping
 from .analytics import (
     ExtendedReal,
     SystemParams,
+    _as_real,
     priority_density,
     sojourn_time,
     stability_threshold,
@@ -87,11 +89,15 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         for name in ("seed", "replications", "curve_resolution", "workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("horizon", "delta", "warmup_fraction"):
+            object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         BinGrid(self.delta)  # validates the bin width
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
@@ -330,14 +336,6 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
-def _real(settings: Mapping, key: str) -> float:
-    # true and "1.5" are refused rather than coerced.
-    value = settings[key]
-    if type(value) not in (int, float):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _integer(settings: Mapping, key: str) -> int:
     # JSON may spell 2 as 2.0; 2.7, true and "2" are refused rather than truncated.
     value = settings[key]
@@ -356,14 +354,14 @@ def _path(settings: Mapping, key: str) -> Path:
 
 def build_config(settings: Mapping) -> ExperimentConfig:
     return ExperimentConfig(
-        params=SystemParams(_real(settings, "alpha"), _integer(settings, "servers")),
-        horizon=_real(settings, "horizon"),
-        delta=_real(settings, "delta"),
+        params=SystemParams(_as_real("alpha", settings["alpha"]), _integer(settings, "servers")),
+        horizon=_as_real("horizon", settings["horizon"]),
+        delta=_as_real("delta", settings["delta"]),
         seed=_integer(settings, "seed"),
         output_dir=_path(settings, "out"),
         replications=_integer(settings, "replications"),
         censored_policy=CensoredPolicy(settings["policy"]),
-        warmup_fraction=_real(settings, "warmup"),
+        warmup_fraction=_as_real("warmup", settings["warmup"]),
         curve_resolution=_integer(settings, "resolution"),
         workers=_integer(settings, "workers"),
     )

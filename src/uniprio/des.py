@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from .analytics import SystemParams
+from .analytics import SystemParams, _as_real
 
 __all__ = [
     "CustomerRecord",
@@ -125,7 +125,7 @@ class SimConfig:
     record_snapshots: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "horizon", _as_real("horizon", self.horizon))
         if not math.isfinite(self.horizon) or self.horizon < 0.0:
             raise ValueError(f"horizon must be finite and nonnegative, got {self.horizon}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):

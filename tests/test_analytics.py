@@ -9,7 +9,9 @@ against its own implementation.
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,7 @@ from uniprio.analytics import (
     tail_pmf,
     waiting_time,
 )
+from uniprio import analytics
 from uniprio.oracle import BirthDeathSpec, birth_death_stationary, default_truncation, finite_difference
 
 TWO_SERVER = SystemParams(1.5, 2)
@@ -46,6 +49,15 @@ class TestSystemParams:
     def test_rejects_bad_server_count(self, c) -> None:
         with pytest.raises((ValueError, TypeError)):
             SystemParams(1.0, c)
+
+    @pytest.mark.parametrize("alpha", ["1.5", True])
+    def test_rejects_non_real_rate(self, alpha) -> None:
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            SystemParams(alpha, 2)
+
+    @pytest.mark.parametrize("alpha", [3, np.float64(1.5), np.float32(1.5), np.int64(3)])
+    def test_accepts_int_and_numpy_rate(self, alpha) -> None:
+        assert SystemParams(alpha, 2).alpha == float(alpha)
 
     def test_load(self) -> None:
         assert SystemParams(1.5, 2).load == 0.75
@@ -332,3 +344,95 @@ def test_pmf_normalization_property(alpha: float, c: int, p: float) -> None:
     cutoff = default_truncation(rate, c)
     total = sum(tail_pmf(params, p, k) for k in range(cutoff))
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _uncached(params: SystemParams, name: str, p: float, arg) -> float:
+    # One closed form from a fresh _occupancy walk, with the expressions the
+    # module used before it cached anything; inf where it diverges or raises.
+    alpha, c = params.alpha, params.c
+    if name == "mean_measure":
+        if p == arg:
+            return 0.0
+        if not is_stable(params, p):
+            return math.inf
+        lower = _uncached(params, "expected_tail_count", p, None)
+        diff = lower - _uncached(params, "expected_tail_count", arg, None)
+        return diff if diff > 0.0 else 0.0
+    if not is_stable(params, p):
+        return math.inf
+    a = (1.0 - p) * alpha
+    pi = analytics._occupancy(a, c)
+    g = 1.0 - a / c
+    if name == "p0_mass":
+        return pi[0]
+    if name == "p0_derivative":
+        return pi[0] * alpha * analytics._slope_bracket(pi, g)
+    if name == "tail_pmf":
+        return pi[arg] if arg <= c else pi[c] * (a / c) ** (arg - c)
+    if name == "expected_tail_count":
+        return a + a * pi[c] / (c * g * g)
+    bracket = ((c + 1) - a * analytics._slope_bracket(pi, g)) / (c * g * g) + 2.0 * a / (c * c * g * g * g)
+    waiting = pi[c] * bracket
+    if name == "waiting_time":
+        return waiting
+    density = alpha + alpha * waiting
+    return density if name == "priority_density" else density / alpha
+
+
+def _cached(params: SystemParams, name: str, p: float, arg) -> float:
+    fn = getattr(analytics, name)
+    try:
+        value = fn(params, p) if arg is None else fn(params, p, arg)
+    except UnstableRegionError:
+        return math.inf
+    return float(value)
+
+
+class TestSharedLoadTerms:
+    """The per-load terms are cached; no closed form may see the difference.
+
+    The reference, :func:`_uncached`, walks the occupancy afresh for every
+    value, so agreement is asserted bit for bit, not within a tolerance.
+    """
+
+    GRID = [(0.5, 1), (0.99, 1), (1.5, 2), (5.0, 2), (4.9, 5), (30.0, 21), (1500.0, 2000)]
+    LEVELS = [0.0, 0.05, 0.4, 0.61, 0.9, 1.0]
+    FORMS = ["p0_mass", "p0_derivative", "expected_tail_count", "priority_density", "sojourn_time", "waiting_time"]
+
+    def cases(self) -> list[tuple[SystemParams, str, float, object]]:
+        cases = []
+        for alpha, c in self.GRID:
+            params = SystemParams(alpha, c)
+            for i, p in enumerate(self.LEVELS):
+                cases += [(params, name, p, None) for name in self.FORMS]
+                cases.append((params, "mean_measure", p, self.LEVELS[min(i + 1, len(self.LEVELS) - 1)]))
+                cases += [(params, "tail_pmf", p, k) for k in sorted({0, 1, c - 1, c, c + 3})]
+        return cases
+
+    def test_bit_identical_in_any_order(self) -> None:
+        cases = self.cases()
+        expected = [_uncached(*case).hex() for case in cases]
+        analytics._load_terms.cache_clear()
+        assert [_cached(*case).hex() for case in cases] == expected
+        order = list(range(len(cases)))
+        random.Random(15).shuffle(order)
+        assert [_cached(*cases[i]).hex() for i in order] == [expected[i] for i in order]
+        assert analytics._load_terms.cache_info().hits > 0
+
+    @pytest.mark.parametrize("alpha,c,p", [(0.9, 1, 0.3), (1.5, 2, 0.0), (4.9, 5, 0.5), (30.0, 50, 0.1)])
+    def test_tail_pmf_after_warm_cache_matches_oracle(self, alpha: float, c: int, p: float) -> None:
+        params = SystemParams(alpha, c)
+        analytics._load_terms.cache_clear()
+        for fn in (p0_mass, p0_derivative, expected_tail_count, priority_density, waiting_time):
+            fn(params, p)
+        assert analytics._load_terms.cache_info().currsize == 1
+        rate = (1 - p) * alpha
+        pi = birth_death_stationary(BirthDeathSpec(rate, c, default_truncation(rate, c)))
+        for k in range(c + 3):
+            assert tail_pmf(params, p, k) == pytest.approx(pi[k], rel=1e-12, abs=1e-300)
+
+    def test_entries_are_three_floats_and_bounded(self) -> None:
+        terms = analytics._load_terms(1500.0, 2000)
+        assert len(terms) == 3 and all(type(t) is float for t in terms)
+        maxsize = analytics._load_terms.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 100_000

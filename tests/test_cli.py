@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import uniprio
@@ -68,6 +69,32 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             tiny_config(tmp_path / "never", seed=-1)
         assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("horizon", True),
+            ("horizon", "60"),
+            ("delta", True),
+            ("delta", "0.25"),
+            ("warmup_fraction", False),
+            ("warmup_fraction", "0.1"),
+        ],
+    )
+    def test_rejects_non_real_settings(self, tmp_path, name, value) -> None:
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            tiny_config(tmp_path, **{name: value})
+
+    @pytest.mark.parametrize("output_dir", [5, None])
+    def test_rejects_non_path_output_dir(self, output_dir) -> None:
+        with pytest.raises(ValueError, match="output_dir must be a path"):
+            tiny_config(output_dir)
+
+    def test_accepts_int_and_numpy_reals_as_floats(self, tmp_path) -> None:
+        # Stored as float, so summary.json spells a setting the same whatever its type.
+        config = tiny_config(tmp_path, horizon=60, delta=np.float64(0.25), warmup_fraction=np.float32(0.0))
+        assert (config.horizon, config.delta, config.warmup_fraction) == (60.0, 0.25, 0.0)
+        assert all(type(v) is float for v in (config.horizon, config.delta, config.warmup_fraction))
 
     def test_replication_seed_is_offset(self) -> None:
         assert replication_seed(10, 0) == 10

@@ -38,6 +38,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(PARAMS, math.inf, 0)
 
+    @pytest.mark.parametrize("horizon", ["5", True])
+    def test_rejects_non_real_horizon(self, horizon) -> None:
+        with pytest.raises(ValueError, match="horizon must be a number"):
+            SimConfig(PARAMS, horizon, 1)
+
     def test_rejects_bool_seed(self) -> None:
         with pytest.raises(ValueError):
             SimConfig(PARAMS, 10.0, True)
