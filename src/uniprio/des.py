@@ -24,17 +24,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from .analytics import SystemParams, _as_real
+
+if TYPE_CHECKING:
+    from .estimate import DensityAccumulator
 
 __all__ = [
     "CustomerRecord",
     "Snapshot",
     "SimConfig",
     "SimTrace",
-    "SimObserver",
     "simulate",
     "write_trace_csv",
     "read_trace_csv",
@@ -114,8 +116,8 @@ class SimConfig:
     and different quantile maps share every event time; only logged priorities
     differ. ``record_snapshots=False`` skips storing per-arrival snapshots,
     which long overloaded runs need to keep memory bounded, and with them the
-    ascending list of priorities present that each snapshot copies; streaming
-    observers still see every snapshot.
+    ascending list of priorities present that each snapshot copies; an
+    observer still counts every snapshot, from the trace's columns.
     """
 
     params: SystemParams
@@ -185,26 +187,7 @@ class SimTrace:
         return tuple(map(CustomerRecord._make, zip(*self.columns)))
 
 
-class SimObserver:
-    """Streaming hooks into a run; all default to no-ops.
-
-    ``on_snapshot`` fires immediately before each arrival joins (the arriving
-    customer is not yet present). ``on_insert`` and ``on_remove`` fire with
-    the raw uniform priority whenever the population changes, so an observer
-    can mirror the population without storing snapshots.
-    """
-
-    def on_snapshot(self, time: float) -> None:
-        pass
-
-    def on_insert(self, priority: float) -> None:
-        pass
-
-    def on_remove(self, priority: float) -> None:
-        pass
-
-
-def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace:
+def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> SimTrace:
     """Run the queue to the horizon and return its trace.
 
     Event mechanics: while customers are present the next service completion
@@ -232,6 +215,10 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
     Boundary rule: events stamped exactly at the horizon are processed; the
     run stops at the first event strictly beyond it. Customers still present
     are recorded as censored.
+
+    ``observer``, when given, is a density accumulator that takes the finished
+    trace through ``add_trace``: it counts every snapshot, stored or not, and
+    bins the displayed priorities, as ``add_snapshots`` does.
     """
     rng = np.random.default_rng(config.seed)
     # One C-level call per uniform; the lambda runs once per block.
@@ -273,8 +260,6 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
             time = next_arrival
             if keep_snapshots:
                 snapshots.append(Snapshot(time, tuple(present)))
-            if observer is not None:
-                observer.on_snapshot(time)
             level = uniform()
             display = float(quantile(level)) if quantile is not None else level
             if keep_snapshots:
@@ -300,15 +285,13 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
             else:
                 heappush(queue, entry)
                 entered.append(None)
-            if observer is not None:
-                observer.on_insert(level)
             next_arrival = time + (-math.log1p(-uniform()) / alpha)
         else:
             if next_completion > horizon:
                 break
             time = next_completion
             # The n-th highest in service sits at index n.
-            neg_level, victim, victim_display = in_service.pop(int(uniform() * busy))
+            _, victim, victim_display = in_service.pop(int(uniform() * busy))
             if keep_snapshots:
                 # Among equal displays (say -0.0 and 0.0), drop the victim's own.
                 i = bisect_left(present, victim_display)
@@ -322,10 +305,8 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
                 promoted = heappop(queue)
                 insort(in_service, promoted)
                 entered[promoted[1]] = time
-            if observer is not None:
-                observer.on_remove(-neg_level)
 
-    return SimTrace(
+    trace = SimTrace(
         priority=tuple(displays),
         arrival_time=tuple(arrivals),
         last_service_entry=tuple(entered),
@@ -333,6 +314,9 @@ def simulate(config: SimConfig, observer: SimObserver | None = None) -> SimTrace
         service_time=tuple(None if d is None else s for d, s in zip(departed, served)),
         snapshots=tuple(snapshots),
     )
+    if observer is not None:
+        observer.add_trace(trace)
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 The level axis [0, 1] is split into ``1/delta`` equal bins. The density
 estimate averages per-bin head counts over the arrival snapshots (arrivals
-see time averages) and rescales by the bin count; the sojourn and waiting
-estimates average per-customer delays over the customers whose priority fell
-in each bin. Customers still in system at the horizon carry no finished
-delay: the Infinite policy treats theirs as infinite (any such customer makes
-its bin infinite), the Exclude policy drops them.
+see time averages) and rescales by the bin count; each customer is present
+for a run of consecutive snapshots fixed by its arrival and departure, so a
+trace's columns give the counts without stored snapshots. The sojourn and
+waiting estimates average per-customer delays over the customers whose
+priority fell in each bin. Customers still in system at the horizon carry no
+finished delay: the Infinite policy treats theirs as infinite (any such
+customer makes its bin infinite), the Exclude policy drops them.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .analytics import INFINITY, ExtendedReal
-from .des import CustomerRecord, SimObserver, SimTrace, Snapshot
+from .analytics import INFINITY, ExtendedReal, _as_real
+from .des import CustomerRecord, SimTrace, Snapshot
 
 __all__ = [
     "BinGrid",
@@ -116,63 +118,44 @@ class CurveEstimate:
 _BLOCK = 4096
 
 
-class DensityAccumulator(SimObserver):
-    """Streaming per-bin population counts, mergeable across replications.
+class DensityAccumulator:
+    """Per-bin population counts over arrival snapshots, mergeable across replications.
 
-    As a :class:`~uniprio.des.SimObserver` it mirrors the population through
-    insert/remove hooks and counts the snapshots it sees, so overloaded runs
-    never need stored snapshots. A customer contributes one to its bin at
-    every snapshot it is present for: ``on_insert`` debits the bin by the
-    snapshots seen so far, ``on_remove`` credits it by the snapshots seen
-    then, and customers still present are credited ``live × seen`` when the
-    sums are read, by :meth:`curve` and :meth:`merge`. ``add_snapshots``
-    covers the offline path. Snapshots before ``start_time`` are ignored
-    (warm-up).
-
-    Every sum is an integer count held exactly in a float, so debits, credits
-    and whole blocks of offline counts add up without changing a bit.
+    A customer contributes one to its bin at every snapshot it is present
+    for: :meth:`add_trace` counts those snapshots from a trace's columns,
+    :meth:`add_snapshots` bins stored ones. Snapshots before ``start_time``
+    are ignored (warm-up). Every sum is an integer count held exactly in a
+    float, so traces, blocks of snapshots and merges add without changing a bit.
     """
 
     def __init__(self, grid: BinGrid, start_time: float = 0.0) -> None:
         self.grid = grid
-        self.start_time = start_time
-        self._sums = [0.0] * grid.n_bins
+        self.start_time = _as_real("start_time", start_time)
+        self._sums = np.zeros(grid.n_bins)
         self._snapshots = 0
-        # Observer state: the live count per bin and the snapshots seen
-        # through on_snapshot.
-        self._current = [0] * grid.n_bins
-        self._seen = 0
 
-    def _move(self, priority: float, step: int) -> None:
-        """Move ``priority``'s bin count by ``step``, debiting an entry and crediting an exit.
+    def add_trace(self, trace: SimTrace) -> "DensityAccumulator":
+        """Add the snapshots of ``trace``'s arrivals at or after ``start_time``.
 
-        Bins by :meth:`BinGrid.index_of`'s rule written out inline, as this
-        runs at every arrival and departure.
+        Arrival ``j``'s snapshot is taken at ``arrival[j]``, before ``j``
+        joins, and arrivals are ascending. So customer ``i`` is in snapshots
+        ``lo`` to ``hi - 1``: ``lo`` is the later of ``i + 1`` and the first
+        arrival at or after ``start_time``; ``hi`` counts the arrivals at or
+        before its departure, all of them if it is censored. An arrival tied
+        with a departure is served first, so the departing customer is in its
+        snapshot. A level outside [0, 1] (or NaN) raises ValueError and adds
+        nothing.
         """
-        if not 0.0 <= priority <= 1.0:
-            raise ValueError(f"priority {priority} outside [0, 1] fits no bin")
-        n = self.grid.n_bins
-        b = int(priority * n)
-        if b == n:
-            b -= 1
-        self._sums[b] -= step * self._seen
-        self._current[b] += step
-
-    def _totals(self) -> list[float]:
-        """Per-bin sums with the customers still present credited for the snapshots seen."""
-        seen = self._seen
-        return [s + count * seen for s, count in zip(self._sums, self._current)]
-
-    def on_insert(self, priority: float) -> None:
-        self._move(priority, 1)
-
-    def on_remove(self, priority: float) -> None:
-        self._move(priority, -1)
-
-    def on_snapshot(self, time: float) -> None:
-        if time >= self.start_time:
-            self._seen += 1
-            self._snapshots += 1
+        bins = self.grid.indices(trace.priority)
+        arrival = np.array(trace.arrival_time, dtype=np.float64)
+        first = int(np.searchsorted(arrival, self.start_time, "left"))
+        # A censored customer's None reads as NaN, which sorts after every arrival.
+        hi = np.searchsorted(arrival, np.array(trace.departure_time, dtype=np.float64), "right")
+        lo = np.maximum(np.arange(1, arrival.size + 1), first)
+        seen = np.maximum(hi - lo, 0)
+        self._sums += np.bincount(bins, weights=seen, minlength=self.grid.n_bins)
+        self._snapshots += arrival.size - first
+        return self
 
     def add_snapshots(self, snapshots: Iterable[Snapshot]) -> "DensityAccumulator":
         """Add stored snapshots, in blocks of about ``_BLOCK`` entries.
@@ -195,8 +178,7 @@ class DensityAccumulator(SimObserver):
 
     def _add_block(self, block: list[float], snapshots: int) -> None:
         """Bin ``block``, the levels of ``snapshots`` snapshots."""
-        counts = np.bincount(self.grid.indices(block), minlength=self.grid.n_bins)
-        self._sums = [s + c for s, c in zip(self._sums, counts.tolist())]
+        self._sums += np.bincount(self.grid.indices(block), minlength=self.grid.n_bins)
         self._snapshots += snapshots
 
     @property
@@ -204,10 +186,10 @@ class DensityAccumulator(SimObserver):
         return self._snapshots
 
     def merge(self, other: "DensityAccumulator") -> "DensityAccumulator":
-        """Add ``other``'s sums, crediting its customers still present; ``other`` is unchanged."""
+        """Add ``other``'s sums and snapshot count; ``other`` is unchanged."""
         if other.grid != self.grid:
             raise ValueError("cannot merge accumulators on different grids")
-        self._sums = [a + b for a, b in zip(self._sums, other._totals())]
+        self._sums += other._sums
         self._snapshots += other._snapshots
         return self
 
@@ -219,7 +201,7 @@ class DensityAccumulator(SimObserver):
         n = self.grid.n_bins
         if self._snapshots == 0:
             return CurveEstimate(self.grid, (None,) * n)
-        values = tuple(ExtendedReal(n * s / self._snapshots) for s in self._totals())
+        values = tuple(ExtendedReal(n * s / self._snapshots) for s in self._sums.tolist())
         return CurveEstimate(self.grid, values)
 
 
@@ -259,12 +241,11 @@ class RecordBinStats:
         call on a fresh instance sums exactly as a loop over the customers
         would. Further calls add their per-call sums, as :meth:`merge` would.
         """
+        start_time = _as_real("start_time", start_time)
         if isinstance(trace_or_records, SimTrace):
             columns = trace_or_records.columns
-        else:
-            columns = tuple(zip(*trace_or_records))
-            if not columns:
-                return self
+        else:  # no record gives six empty columns
+            columns = tuple(zip(*trace_or_records)) or ((),) * 6
         ids, priority, arrival, entered, departure, served = columns
         a = np.array(arrival, dtype=np.float64)
         kept = ~(a < start_time)

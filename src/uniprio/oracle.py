@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +45,18 @@ class BirthDeathSpec:
     truncation: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.arrival_rate, bool) or not isinstance(self.arrival_rate, numbers.Real):
+            raise ValueError(f"arrival_rate must be a number, got {self.arrival_rate!r}")
         object.__setattr__(self, "arrival_rate", float(self.arrival_rate))
         if not math.isfinite(self.arrival_rate) or self.arrival_rate < 0.0:
             raise ValueError(f"arrival_rate must be finite and nonnegative, got {self.arrival_rate}")
         if isinstance(self.servers, bool) or not isinstance(self.servers, int) or self.servers < 1:
             raise ValueError(f"servers must be an integer at least 1, got {self.servers!r}")
-        if not isinstance(self.truncation, int) or self.truncation < self.servers:
+        truncation = self.truncation
+        if isinstance(truncation, bool) or not isinstance(truncation, int) or truncation < self.servers:
             raise ValueError(
                 f"truncation must be an integer at least servers={self.servers}, "
-                f"got {self.truncation!r}"
+                f"got {truncation!r}"
             )
 
 

@@ -19,7 +19,6 @@ from uniprio.des import (
     _BLOCK,
     CustomerRecord,
     SimConfig,
-    SimObserver,
     Snapshot,
     read_snapshots_csv,
     read_trace_csv,
@@ -27,6 +26,7 @@ from uniprio.des import (
     write_snapshots_csv,
     write_trace_csv,
 )
+from uniprio.estimate import BinGrid, DensityAccumulator
 
 PARAMS = SystemParams(1.5, 2)
 
@@ -335,40 +335,54 @@ class TestPriorityTransform:
             assert sb.priorities == tuple(-math.log1p(-u) for u in sa.priorities)
 
 
-class _Counter(SimObserver):
+class _Recorder:
+    """Stands in for a density accumulator: keeps every trace handed to it."""
+
     def __init__(self) -> None:
-        self.snapshots = 0
-        self.inserts = 0
-        self.removes = 0
+        self.traces: list = []
 
-    def on_snapshot(self, time) -> None:
-        self.snapshots += 1
-
-    def on_insert(self, priority) -> None:
-        self.inserts += 1
-
-    def on_remove(self, priority) -> None:
-        self.removes += 1
+    def add_trace(self, trace) -> None:
+        self.traces.append(trace)
 
 
 class TestObserver:
-    def test_hook_counts(self) -> None:
-        counter = _Counter()
-        trace = simulate(SimConfig(PARAMS, 300.0, 31), observer=counter)
-        departed = sum(1 for r in trace.records if not r.is_censored)
-        assert counter.snapshots == len(trace.records)
-        assert counter.inserts == len(trace.records)
-        assert counter.removes == departed
+    def test_observer_takes_the_finished_trace_once(self) -> None:
+        recorder = _Recorder()
+        trace = simulate(SimConfig(PARAMS, 300.0, 31), observer=recorder)
+        assert len(recorder.traces) == 1 and recorder.traces[0] is trace
+
+    def test_observer_counts_every_arrival(self) -> None:
+        density = DensityAccumulator(BinGrid(0.1))
+        trace = simulate(SimConfig(PARAMS, 300.0, 31), observer=density)
+        assert density.snapshot_count == len(trace) == len(trace.snapshots)
+        heads = sum(len(s.priorities) for s in trace.snapshots)
+        assert density._sums.sum() == heads
 
     def test_disabling_snapshot_storage_changes_nothing_else(self) -> None:
         kept = simulate(SimConfig(PARAMS, 300.0, 31))
-        counter = _Counter()
+        density = DensityAccumulator(BinGrid(0.1))
         dropped = simulate(
-            SimConfig(PARAMS, 300.0, 31, record_snapshots=False), observer=counter
+            SimConfig(PARAMS, 300.0, 31, record_snapshots=False), observer=density
         )
         assert dropped.snapshots == ()
         assert dropped.records == kept.records
-        assert counter.snapshots == len(kept.snapshots)
+        offline = DensityAccumulator(BinGrid(0.1)).add_snapshots(kept.snapshots)
+        assert density.snapshot_count == offline.snapshot_count == len(kept.snapshots)
+        assert density.curve().values == offline.curve().values
+
+    def test_observer_bins_displayed_priorities(self) -> None:
+        # A quantile map into [0, 1] moves customers between bins. The
+        # observer bins the displays, as stored snapshots hold them, not the
+        # raw uniforms that scheduling uses.
+        squared = SimConfig(PARAMS, 300.0, 31, priority_quantile=lambda u: u**2)
+        density = DensityAccumulator(BinGrid(0.1))
+        trace = simulate(squared, observer=density)
+        offline = DensityAccumulator(BinGrid(0.1)).add_snapshots(trace.snapshots)
+        assert density.curve().values == offline.curve().values
+        raw = DensityAccumulator(BinGrid(0.1))
+        simulate(SimConfig(PARAMS, 300.0, 31), observer=raw)
+        assert raw.snapshot_count == density.snapshot_count
+        assert raw.curve().values != density.curve().values
 
 
 class TestColumnarTrace:

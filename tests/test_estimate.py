@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uniprio.analytics import INFINITY, ExtendedReal, SystemParams
-from uniprio.des import CustomerRecord, SimConfig, Snapshot, simulate
+from uniprio.des import CustomerRecord, SimConfig, SimTrace, Snapshot, simulate
 from uniprio.oracle import reference_simulate
 from uniprio.estimate import (
     BinGrid,
@@ -36,6 +36,33 @@ def record(
     service_time: float | None,
 ) -> CustomerRecord:
     return CustomerRecord(cid, priority, arrival, entered, departed, service_time)
+
+
+def hand_trace(priority, arrival, departure) -> SimTrace:
+    """A trace with the given columns; every customer is served from arrival to departure."""
+    served = tuple(None if d is None else d - a for a, d in zip(arrival, departure))
+    return SimTrace(tuple(priority), tuple(arrival), tuple(arrival), tuple(departure), served, ())
+
+
+def swept_counts(trace: SimTrace, grid: BinGrid, start_time: float) -> tuple[int, list[int]]:
+    """Reference: walk the events in time order, an arrival before a departure
+    at the same instant, and add up the per-bin head count that each arrival
+    at or after ``start_time`` sees."""
+    bins = [grid.index_of(p) for p in trace.priority]
+    events = sorted(
+        [(a, 0, i) for i, a in enumerate(trace.arrival_time)]
+        + [(d, 1, i) for i, d in enumerate(trace.departure_time) if d is not None]
+    )
+    present, sums, snapshots = [0] * grid.n_bins, [0] * grid.n_bins, 0
+    for time, leaving, i in events:
+        if leaving:
+            present[bins[i]] -= 1
+            continue
+        if time >= start_time:
+            snapshots += 1
+            sums = [s + k for s, k in zip(sums, present)]
+        present[bins[i]] += 1
+    return snapshots, sums
 
 
 def tallies(stats: RecordBinStats) -> tuple[list, ...]:
@@ -133,7 +160,7 @@ class TestDensityEstimation:
     def test_no_snapshots_give_no_data_in_every_bin(self) -> None:
         acc = DensityAccumulator(BinGrid(0.25), start_time=1.0)
         acc.add_snapshots([Snapshot(0.5, (0.1, 0.6))])
-        acc.on_insert(0.3)
+        acc.add_trace(hand_trace((0.3, 0.8), (0.2, 0.7), (None, 0.9)))  # all before warm-up ends
         assert acc.snapshot_count == 0
         assert acc.curve().values == (None,) * 4
 
@@ -153,6 +180,55 @@ class TestDensityEstimation:
         assert streaming.snapshot_count == len(trace_kept.snapshots)
         assert streaming.curve().values == offline.values
         assert trace_stream.records == trace_kept.records
+
+    def test_trace_worked_example(self) -> None:
+        # Warm-up ends at 2.0, so the snapshots of arrivals 3, 4 and 5 count:
+        #   t=2.0: {0.1, 0.6}  customer 1 arrived in warm-up and is still here;
+        #   t=3.0: {0.1, 0.6}  customer 1 departs at 3.0, tied with arrival 4,
+        #                      which is served first;
+        #   t=4.0: {0.1, 0.3}  customer 0 is censored.
+        # Customer 2 leaves before warm-up ends; customers 3 and 5 leave
+        # before any later arrival. Bin width one half: 4 heads low and 2 high
+        # over 3 snapshots.
+        trace = hand_trace(
+            (0.1, 0.6, 0.7, 0.2, 0.3, 0.4),
+            (0.0, 1.0, 1.5, 2.0, 3.0, 4.0),
+            (None, 3.0, 1.8, 2.5, None, 4.5),
+        )
+        grid = BinGrid(0.5)
+        acc = DensityAccumulator(grid, start_time=2.0).add_trace(trace)
+        assert acc.snapshot_count == 3
+        assert acc.curve().values == (ExtendedReal(8 / 3), ExtendedReal(4 / 3))
+        snaps = [
+            Snapshot(0.0, ()),
+            Snapshot(1.0, (0.1,)),
+            Snapshot(1.5, (0.1, 0.6)),
+            Snapshot(2.0, (0.1, 0.6)),
+            Snapshot(3.0, (0.1, 0.6)),
+            Snapshot(4.0, (0.1, 0.3)),
+        ]
+        offline = DensityAccumulator(grid, start_time=2.0).add_snapshots(snaps)
+        assert offline.snapshot_count == 3
+        assert offline.curve().values == acc.curve().values
+        assert swept_counts(trace, grid, 2.0) == (3, [4, 2])
+
+    def test_empty_trace_adds_nothing(self) -> None:
+        acc = DensityAccumulator(GRID20).add_snapshots([Snapshot(0.0, (0.3, 0.9))])
+        state = (acc._sums.tolist(), acc.snapshot_count)
+        acc.add_trace(hand_trace((), (), ()))
+        assert (acc._sums.tolist(), acc.snapshot_count) == state
+        assert DensityAccumulator(GRID20).add_trace(hand_trace((), (), ())).snapshot_count == 0
+
+    @pytest.mark.parametrize("bad", ["x", "0.5", True, None])
+    def test_start_time_must_be_a_number(self, bad) -> None:
+        with pytest.raises(ValueError, match="start_time must be a number"):
+            DensityAccumulator(GRID20, start_time=bad)
+        stats = RecordBinStats(GRID20)
+        for records in ([record(0, 0.5, 1.0, 1.0, 2.0, 1.0)], []):
+            with pytest.raises(ValueError, match="start_time must be a number"):
+                stats.add(records, start_time=bad)
+        assert stats.departed_total == stats.censored_total == 0
+        assert type(DensityAccumulator(GRID20, start_time=1).start_time) is float
 
     def test_warmup_skips_early_snapshots(self) -> None:
         snaps = [Snapshot(0.5, (0.1,)), Snapshot(2.0, (0.7,))]
@@ -220,7 +296,7 @@ class TestDensityEstimation:
 
 
 class TestStreamingObserver:
-    """The observer credits each customer on exit; its curves must equal the offline ones."""
+    """The observer counts snapshots from the finished trace; its curves must equal the offline ones."""
 
     CONFIG = SystemParams(5.0, 2), 150.0
     SEEDS = (21, 22, 23)
@@ -232,6 +308,28 @@ class TestStreamingObserver:
             observer = DensityAccumulator(GRID20, self.START)
             trace = simulate(SimConfig(params, horizon, seed), observer=observer)
             yield observer, trace.snapshots
+
+    # alpha, c, horizon, warm-up, whether the snapshots are stored. The
+    # overloaded run's snapshots would hold about 7.5e8 levels, so only the
+    # event sweep checks it.
+    SETTINGS = [
+        pytest.param(5.0, 2, 1.0e4, 0.0, False, id="overloaded"),
+        pytest.param(1.5, 2, 2000.0, 200.0, True, id="stable-warmup"),
+        pytest.param(45.0, 50, 200.0, 20.0, True, id="many-server-warmup"),
+        pytest.param(2.0, 2, 2000.0, 0.0, True, id="critical"),
+    ]
+
+    @pytest.mark.parametrize("alpha, c, horizon, start, stored", SETTINGS)
+    def test_add_trace_counts_every_snapshot(self, alpha, c, horizon, start, stored) -> None:
+        acc = DensityAccumulator(GRID20, start)
+        config = SimConfig(SystemParams(alpha, c), horizon, 24, record_snapshots=stored)
+        trace = simulate(config, observer=acc)
+        assert acc.snapshot_count > 0
+        assert (acc.snapshot_count, acc._sums.tolist()) == swept_counts(trace, GRID20, start)
+        if stored:
+            offline = DensityAccumulator(GRID20, start).add_snapshots(trace.snapshots)
+            assert offline.snapshot_count == acc.snapshot_count
+            assert offline.curve().values == acc.curve().values
 
     def test_warmup_and_merge_across_replications(self) -> None:
         streamed = DensityAccumulator(GRID20, self.START)
@@ -257,27 +355,33 @@ class TestStreamingObserver:
         offline.add_snapshots(second)
         assert mixed.curve().values == offline.curve().values
 
-    @pytest.mark.parametrize("hook, bad", [("on_insert", 1.5), ("on_insert", math.nan), ("on_remove", -0.1)])
-    def test_hooks_reject_levels_outside_the_unit_interval(self, hook, bad) -> None:
-        acc = DensityAccumulator(GRID20)
-        for level in (0.1, 0.5, 1.0):
-            acc.on_insert(level)
-        acc.on_snapshot(0.0)
-        acc.on_remove(0.5)
-        state = (acc._sums[:], acc._current[:], acc._seen, acc._snapshots)
+    @pytest.mark.parametrize("bad", [1.5, math.nan, -0.1])
+    def test_add_trace_rejects_bad_levels(self, bad) -> None:
+        (acc, _), _, _ = self.runs()
+        state = (acc._sums.tolist(), acc.snapshot_count)
+        trace = hand_trace((0.1, bad, 0.7), (50.0, 60.0, 70.0), (55.0, None, None))
         with pytest.raises(ValueError, match="outside"):
-            getattr(acc, hook)(bad)
-        assert (acc._sums, acc._current, acc._seen, acc._snapshots) == state
+            acc.add_trace(trace)
+        assert (acc._sums.tolist(), acc.snapshot_count) == state
+
+    def test_observer_rejects_displays_outside_the_unit_interval(self) -> None:
+        params, horizon = self.CONFIG
+        acc = DensityAccumulator(GRID20)
+        exponential = SimConfig(params, horizon, 25, priority_quantile=lambda u: -math.log1p(-u))
+        with pytest.raises(ValueError, match="outside"):
+            simulate(exponential, observer=acc)
+        assert acc.snapshot_count == 0 and not acc._sums.any()
 
     def test_merge_leaves_its_argument_unchanged(self) -> None:
         (first, _), (second, _), _ = self.runs()
-        assert second._current != [0] * GRID20.n_bins  # customers still present
-        state = (second._sums[:], second._current[:], second._seen, second._snapshots)
+        state = (second._sums.tolist(), second.snapshot_count)
         curve = second.curve().values
         first.merge(second)
-        assert (second._sums, second._current, second._seen, second._snapshots) == state
+        assert (second._sums.tolist(), second.snapshot_count) == state
         assert second.curve().values == curve
-        # The merged-in customers still present are credited once, not twice.
+        # Adding to the merged accumulator leaves the merged-in one alone too.
+        first.add_snapshots([Snapshot(self.START, (0.5,))])
+        assert (second._sums.tolist(), second.snapshot_count) == state
         again = DensityAccumulator(GRID20, self.START).merge(first)
         assert again.curve().values == first.curve().values
 

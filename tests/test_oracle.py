@@ -71,6 +71,15 @@ class TestBirthDeathStationary:
         with pytest.raises(ValueError):
             birth_death_stationary(BirthDeathSpec(2.5, 2, 100))
 
+    @pytest.mark.parametrize(
+        "rate, truncation, field",
+        [("0.5", 10, "arrival_rate"), (True, 10, "arrival_rate"), (0.5, True, "truncation")],
+    )
+    def test_rejects_mistyped_settings(self, rate, truncation, field) -> None:
+        with pytest.raises(ValueError, match=field):
+            BirthDeathSpec(rate, 1, truncation)
+        assert BirthDeathSpec(np.float64(0.5), 1, 10).arrival_rate == 0.5
+
     def test_zero_rate_degenerates_to_empty(self) -> None:
         pi = birth_death_stationary(BirthDeathSpec(0.0, 3, 10))
         assert pi[0] == 1.0
