@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Mapping
@@ -87,6 +87,8 @@ class ExperimentConfig:
     warmup_fraction: float = 0.0
     curve_resolution: int = 201
     workers: int = 1
+    # Built once from ``delta``, so every curve of a run shares its cached centers.
+    grid: BinGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.output_dir, (str, os.PathLike)):
@@ -98,7 +100,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("horizon", "delta", "warmup_fraction"):
             object.__setattr__(self, name, _as_real(name, getattr(self, name)))
-        BinGrid(self.delta)  # validates the bin width
+        object.__setattr__(self, "grid", BinGrid(self.delta))  # validates the bin width
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.horizon <= 0.0 or not math.isfinite(self.horizon):
@@ -111,10 +113,6 @@ class ExperimentConfig:
             raise ValueError(f"curve_resolution must be at least 2, got {self.curve_resolution}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
-
-    @property
-    def grid(self) -> BinGrid:
-        return BinGrid(self.delta)
 
 
 def _json_value(v: ExtendedReal | None):
@@ -191,7 +189,7 @@ def _replicate(config: ExperimentConfig, r: int) -> tuple[DensityAccumulator, Re
     start_time = config.warmup_fraction * config.horizon
     trace = simulate(SimConfig(config.params, config.horizon, replication_seed(config.seed, r)))
     write_trace_csv(trace, out / f"trace_rep{r:03d}.csv")
-    write_snapshots_csv(trace.snapshots, out / f"snapshots_rep{r:03d}.csv")
+    write_snapshots_csv(trace, out / f"snapshots_rep{r:03d}.csv")
     density = DensityAccumulator(config.grid, start_time).add_snapshots(trace.snapshots)
     delays = RecordBinStats(config.grid).add(trace, start_time)
     return density, delays

@@ -186,6 +186,16 @@ class SimTrace:
     def records(self) -> tuple[CustomerRecord, ...]:
         return tuple(map(CustomerRecord._make, zip(*self.columns)))
 
+    # Cell texts of the two columns that both the trace and the snapshot file
+    # print, formatted on first use.
+    @cached_property
+    def _priority_texts(self) -> tuple[str, ...]:
+        return _cells(self.priority)
+
+    @cached_property
+    def _arrival_texts(self) -> tuple[str, ...]:
+        return _cells(self.arrival_time)
+
 
 def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> SimTrace:
     """Run the queue to the horizon and return its trace.
@@ -322,24 +332,76 @@ def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> S
 # ---------------------------------------------------------------------------
 # CSV export and import
 
+# Entry types whose repr is already the cell text.
+_PLAIN = {float, type(None)}
+
+
+def _cells(column: Iterable[float | None]) -> tuple[str, ...]:
+    """CSV cell text of each entry: ``repr(float(x))``, or empty for None.
+
+    One C-level ``repr`` of the whole list, split at its separators: no float
+    repr holds ``", "`` or ``"None"``. Entries that are not floats (a numpy
+    float, whose repr names its type, or an integer) are converted first.
+    """
+    values = list(column)
+    if not {*map(type, values)} <= _PLAIN:
+        values = [None if x is None else float(x) for x in values]
+    if not values:
+        return ()
+    return tuple(repr(values)[1:-1].replace("None", "").split(", "))
+
+
+class _ReprCache(dict):
+    """Cell text per value, as :func:`_cells` writes it, each formatted once.
+
+    It starts from ``(values, texts)`` pairs already formatted and formats
+    only the values it was not given. Zeros are never stored: ``0.0 == -0.0``
+    would share one key, but their texts differ.
+    """
+
+    def __init__(self, *known: tuple[Sequence[float | None], Sequence[str]]) -> None:
+        super().__init__()
+        for values, texts in known:
+            self.update(zip(values, texts))
+        self.pop(0.0, None)
+
+    def __missing__(self, value: float | None) -> str:
+        text = "" if value is None else repr(float(value))
+        if value:
+            self[value] = text
+        return text
+
 
 def write_trace_csv(trace_or_records: SimTrace | Iterable[CustomerRecord], path) -> None:
     """Write a trace's customers, or records, one row each; empty cells mark missing times.
 
-    Rows are formatted directly in ``csv.writer``'s excel dialect: no cell
-    (an integer, a float repr or empty) ever needs quoting.
+    Each real prints as ``repr(float(x))``, so numpy floats print as Python
+    floats do. Each column is formatted once. A trace's priority and
+    arrival texts are cached on it, for :func:`write_snapshots_csv` to reuse,
+    and each ``last_service_entry``, always some arrival or departure instant
+    in a simulated run, takes its text from theirs. Rows are formatted
+    directly in ``csv.writer``'s excel dialect: no cell (an integer, a float
+    repr or empty) ever needs quoting.
     """
     if isinstance(trace_or_records, SimTrace):
-        rows = zip(*trace_or_records.columns)
-    else:
-        rows = trace_or_records
+        trace = trace_or_records
+        ids: Iterable[int] = range(len(trace))
+    else:  # no record gives six empty columns
+        ids, *fields = tuple(zip(*trace_or_records)) or ((),) * 6
+        trace = SimTrace(*fields, snapshots=())
+    departure = _cells(trace.departure_time)
+    entry = _ReprCache((trace.arrival_time, trace._arrival_texts), (trace.departure_time, departure))
+    rows = zip(
+        ids,
+        trace._priority_texts,
+        trace._arrival_texts,
+        map(entry.__getitem__, trace.last_service_entry),
+        departure,
+        _cells(trace.service_time),
+    )
     with open(path, "w", newline="") as handle:
         handle.write(",".join(CustomerRecord._fields) + "\r\n")
-        handle.writelines(
-            f"{i},{p!r},{a!r},{'' if e is None else repr(e)},"
-            f"{'' if d is None else repr(d)},{'' if s is None else repr(s)}\r\n"
-            for i, p, a, e, d, s in rows
-        )
+        handle.writelines(f"{i},{p},{a},{e},{d},{s}\r\n" for i, p, a, e, d, s in rows)
 
 
 def read_trace_csv(path) -> tuple[CustomerRecord, ...]:
@@ -365,31 +427,30 @@ def read_trace_csv(path) -> tuple[CustomerRecord, ...]:
     return tuple(out)
 
 
-class _ReprCache(dict):
-    """Memo of ``repr`` per level, so each level is formatted once per file.
+def write_snapshots_csv(trace_or_snapshots: SimTrace | Iterable[Snapshot], path) -> None:
+    """Write per-arrival snapshots, or a trace's; priorities are semicolon-joined, ascending.
 
-    Zeros are not stored: ``0.0 == -0.0`` shares one key, but their reprs differ.
+    Cells print as in :func:`write_trace_csv`. Given a trace, snapshot times
+    and levels take their texts from the trace's cached arrival and priority
+    texts, by value; any other value, and every value of plain snapshots, is
+    formatted once per file. Rows are formatted directly, as for
+    :func:`write_trace_csv`: a float repr holds no comma, quote or line
+    break, so ``csv.writer`` would quote nothing either.
     """
-
-    def __missing__(self, level: float) -> str:
-        text = repr(level)
-        if level:
-            self[level] = text
-        return text
-
-
-def write_snapshots_csv(snapshots: Sequence[Snapshot], path) -> None:
-    """Write per-arrival snapshots; priorities are semicolon-joined, ascending.
-
-    Rows are formatted directly, as for :func:`write_trace_csv`: a float
-    repr holds no comma, quote or line break, so ``csv.writer`` would quote
-    nothing either.
-    """
-    text = _ReprCache().__getitem__
+    if isinstance(trace_or_snapshots, SimTrace):
+        trace = trace_or_snapshots
+        snapshots: Iterable[Snapshot] = trace.snapshots
+        times = _ReprCache((trace.arrival_time, trace._arrival_texts))
+        levels = _ReprCache((trace.priority, trace._priority_texts))
+    else:
+        snapshots = trace_or_snapshots
+        times, levels = _ReprCache(), _ReprCache()
+    time_text, level_text = times.__getitem__, levels.__getitem__
     with open(path, "w", newline="") as handle:
         handle.write("snapshot_time,priorities\r\n")
         handle.writelines(
-            f"{time!r},{';'.join(map(text, priorities))}\r\n" for time, priorities in snapshots
+            f"{time_text(time)},{';'.join(map(level_text, priorities))}\r\n"
+            for time, priorities in snapshots
         )
 
 

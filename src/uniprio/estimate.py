@@ -16,12 +16,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .analytics import INFINITY, ExtendedReal, _as_real
-from .des import CustomerRecord, SimTrace, Snapshot
+from .des import CustomerRecord, SimTrace, Snapshot, _cells
 
 __all__ = [
     "BinGrid",
@@ -50,7 +51,8 @@ class BinGrid:
     1e-9, which admits values like 1/3 that floating point cannot hold
     exactly). Bin ``i`` covers ``[i*delta, (i+1)*delta)`` with center
     ``(i + 1/2) * delta``; a priority of exactly 1.0 folds into the top bin.
-    ``n_bins`` is derived from ``delta`` once, at construction.
+    ``n_bins`` is derived from ``delta`` once, at construction; ``centers``
+    and their CSV texts once, on first use.
     """
 
     delta: float
@@ -65,10 +67,15 @@ class BinGrid:
             raise ValueError(f"delta must be the reciprocal of a positive integer, got {self.delta}")
         object.__setattr__(self, "n_bins", n)
 
-    @property
+    @cached_property
     def centers(self) -> tuple[float, ...]:
         n = self.n_bins
         return tuple((2 * i + 1) / (2 * n) for i in range(n))
+
+    @cached_property
+    def _center_texts(self) -> tuple[str, ...]:
+        """The centers' CSV cells, shared by every curve written on this grid."""
+        return _cells(self.centers)
 
     def edges(self, i: int) -> tuple[float, float]:
         """Lower and upper edge of bin ``i``."""
@@ -310,17 +317,28 @@ class RecordBinStats:
 
 
 def write_points_csv(points: Iterable[float], values: Iterable[ExtendedReal | None], path) -> None:
-    """One ``p,value`` row per point; infinity renders as ``inf``, no data as empty."""
-    with open(path, "w", newline="") as handle:
-        handle.write("p,value\r\n")
-        handle.writelines(
-            f"{p!r},{'' if v is None else repr(v.value)}\r\n" for p, v in zip(points, values)
-        )
+    """One ``p,value`` row per point; infinity renders as ``inf``, no data as empty.
+
+    Each real prints as ``repr(float(x))``, so numpy floats print as Python
+    floats do.
+    """
+    _write_rows(_cells(points), values, path)
 
 
 def write_curve_csv(curve: CurveEstimate, path) -> None:
-    """One row per bin center, in the cell format of :func:`write_points_csv`."""
-    write_points_csv(curve.grid.centers, curve.values, path)
+    """One row per bin center, in the cell format of :func:`write_points_csv`.
+
+    The centers' texts are formatted once per grid and shared by its curves.
+    """
+    _write_rows(curve.grid._center_texts, curve.values, path)
+
+
+def _write_rows(points: Sequence[str], values: Iterable[ExtendedReal | None], path) -> None:
+    """Write ``p,value`` rows from the points' cell texts and the values."""
+    cells = _cells(None if v is None else v.value for v in values)
+    with open(path, "w", newline="") as handle:
+        handle.write("p,value\r\n")
+        handle.writelines(f"{p},{v}\r\n" for p, v in zip(points, cells))
 
 
 def read_curve_csv(path) -> CurveEstimate:

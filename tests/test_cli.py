@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -95,6 +96,15 @@ class TestExperimentConfig:
         config = tiny_config(tmp_path, horizon=60, delta=np.float64(0.25), warmup_fraction=np.float32(0.0))
         assert (config.horizon, config.delta, config.warmup_fraction) == (60.0, 0.25, 0.0)
         assert all(type(v) is float for v in (config.horizon, config.delta, config.warmup_fraction))
+
+    def test_grid_is_built_once(self, tmp_path) -> None:
+        config = tiny_config(tmp_path)
+        assert config.grid is config.grid
+        assert config.grid == BinGrid(config.delta)
+        assert "grid=" not in repr(config)
+        wider = dataclasses.replace(config, delta=0.5)
+        assert wider.grid == BinGrid(0.5) and wider != config
+        assert dataclasses.replace(config) == config
 
     def test_replication_seed_is_offset(self) -> None:
         assert replication_seed(10, 0) == 10
@@ -425,9 +435,10 @@ class TestMain:
         assert summary["config"]["policy"] == "exclude"
 
 
-# SHA-256 of the estimator outputs of two small experiments: an overloaded
-# run with warm-up under the infinite policy, and a stable two-replication
-# run under the exclude policy.
+# SHA-256 of the files of two small experiments: an overloaded run with
+# warm-up under the infinite policy, and a stable two-replication run under
+# the exclude policy. The trace, snapshot and analytic files pin the bytes
+# the driver writes through each writer.
 ESTIMATE_DIGESTS = {
     "overloaded-warmup-infinite": (
         dict(params=SystemParams(5.0, 2), horizon=40.0, delta=0.1, seed=5, warmup_fraction=0.25),
@@ -436,6 +447,11 @@ ESTIMATE_DIGESTS = {
             "estimate_density.csv": "88b1afe8f58727e364424a82d4928018cbe237c8856ea88342da2899fd502fd6",
             "estimate_sojourn.csv": "bd33a2ec06b39c4cd2539a205307bb4271cd5d553591bf53037b3fea1727571b",
             "estimate_waiting.csv": "0ab635c182f69c36924c31778bb46f2e72e54082b6a9f11ae7e805d8b01cd484",
+            "trace_rep000.csv": "32e0a4fc9084bf488b3749bee116ffacd47609530b64d5efec30ea7d0fa9f1a4",
+            "snapshots_rep000.csv": "caf6dbb31a7275cbf4abe411b39032ec6ce998237916e2171dce0d97900db5aa",
+            "analytic_density.csv": "bf624adac17b9df79798728ed7061dd924672ec4cfd6ec339b0033cce2a13d9a",
+            "analytic_sojourn.csv": "75da7cbf149f64920f198ce2b404accff4b7cdc03a24ccfa91b3f2efd3111453",
+            "analytic_waiting.csv": "695be06001561f5902200f7e566ff45cbc4eb442223b72fec0bdc55a91a321df",
         },
     ),
     "stable-exclude-2reps": (
@@ -448,6 +464,13 @@ ESTIMATE_DIGESTS = {
             "estimate_density.csv": "64ca02e98e8447593002f20b0ea275527b551ff74dfcc65f0973986c0537ad4f",
             "estimate_sojourn.csv": "8b05bbba2d51ae4d6ea0ecdf07a64ef13f7c91438b817d57dde3afe27add2132",
             "estimate_waiting.csv": "7e68560d9293e9dd4add51edc6e69c6023d76fb9a410e833a1132a6ca04145df",
+            "trace_rep000.csv": "e0919a1206d4a2342bd3ce336b5c1adda1431e664d24a49441970b01b44efcce",
+            "trace_rep001.csv": "28ad7842985b6ab47ee93e19ca536997ef2a2df8fbcf44ffa573aa4969370f26",
+            "snapshots_rep000.csv": "02a104fe4015bda4c2271b27780f4525f44c71020e69cdf8222ca1d61a316ea1",
+            "snapshots_rep001.csv": "1c7804cb50e40907b61592643964423bcc732b035ac965022dbdf23340e21686",
+            "analytic_density.csv": "237581ce56cb202ef91594b0c8cb42e8ab84471ada86b7786ff864aa0f0f8ea6",
+            "analytic_sojourn.csv": "9e7f0f375f8a98812cd44e8fbec63bb3fb7bb270270515d914d23aff5b6c6663",
+            "analytic_waiting.csv": "4d5f760638fcfb4651a328f9b86e5b505e826cbbcdc978dbf46f67974a41ebba",
         },
     ),
 }

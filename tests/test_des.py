@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ from uniprio.des import (
     _BLOCK,
     CustomerRecord,
     SimConfig,
+    SimTrace,
     Snapshot,
     read_snapshots_csv,
     read_trace_csv,
@@ -259,6 +261,18 @@ class TestGoldenDigests:
         data = (tmp_path / "trace.csv").read_bytes() + (tmp_path / "snaps.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "alpha, c, horizon, seed, digest",
+        GOLDEN_DIGESTS,
+        ids=[f"{alpha}-{c}-{horizon}-{seed}" for alpha, c, horizon, seed, _ in GOLDEN_DIGESTS],
+    )
+    def test_csv_bytes_are_pinned_from_the_trace(self, tmp_path, alpha, c, horizon, seed, digest) -> None:
+        trace = simulate(SimConfig(SystemParams(alpha, c), horizon, seed))
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_snapshots_csv(trace, tmp_path / "snaps.csv")
+        data = (tmp_path / "trace.csv").read_bytes() + (tmp_path / "snaps.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 def _ranked(records, time, strictly_after):
     """Customers present at ``time``, highest rank first.
@@ -456,24 +470,120 @@ class TestCsvRoundTrip:
         # Overloaded, so the horizon leaves censored rows with empty cells.
         trace = simulate(SimConfig(SystemParams(5.0, 2), 30.0, 43))
         assert any(r.is_censored for r in trace.records)
-        with open(tmp_path / "trace_ref.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["customer_id", "priority", "arrival_time", "last_service_entry",
-                             "departure_time", "service_time"])
-            for r in trace.records:
-                writer.writerow([r.customer_id, repr(r.priority), repr(r.arrival_time)] + [
-                    "" if v is None else repr(v)
-                    for v in (r.last_service_entry, r.departure_time, r.service_time)
-                ])
-        with open(tmp_path / "snaps_ref.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["snapshot_time", "priorities"])
-            for s in trace.snapshots:
-                writer.writerow([repr(s.time), ";".join(repr(q) for q in s.priorities)])
         write_trace_csv(trace.records, tmp_path / "trace.csv")
         write_snapshots_csv(trace.snapshots, tmp_path / "snaps.csv")
-        for name in ("trace", "snaps"):
-            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
+        assert (tmp_path / "trace.csv").read_bytes() == _csv_module_trace(trace.records)
+        assert (tmp_path / "snaps.csv").read_bytes() == _csv_module_snapshots(trace.snapshots)
+
+    def test_numpy_floats_write_as_python_floats(self, tmp_path) -> None:
+        # Under numpy 2 the repr of np.float64(0.5) is "np.float64(0.5)".
+        records = (CustomerRecord(0, 0.25, 0.5, 0.5, 2.0, 1.5), CustomerRecord(1, 0.75, 1.0, None, None, None))
+        as_numpy = [
+            CustomerRecord(r[0], *(None if v is None else np.float64(v) for v in r[1:])) for r in records
+        ]
+        snaps = (Snapshot(0.5, ()), Snapshot(1.0, (0.25,)))
+        write_trace_csv(as_numpy, tmp_path / "trace.csv")
+        write_snapshots_csv(
+            [Snapshot(np.float64(t), tuple(map(np.float64, q))) for t, q in snaps], tmp_path / "snaps.csv"
+        )
+        assert (tmp_path / "trace.csv").read_bytes() == _csv_module_trace(records)
+        assert (tmp_path / "snaps.csv").read_bytes() == _csv_module_snapshots(snaps)
+        assert read_trace_csv(tmp_path / "trace.csv") == records
+        assert read_snapshots_csv(tmp_path / "snaps.csv") == snaps
+
+
+def _csv_module_trace(records) -> bytes:
+    """What ``csv.writer`` writes for ``records``, each real as its repr."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(CustomerRecord._fields)
+    for r in records:
+        writer.writerow([r[0]] + ["" if v is None else repr(v) for v in r[1:]])
+    return handle.getvalue().encode()
+
+
+def _csv_module_snapshots(snapshots) -> bytes:
+    """What ``csv.writer`` writes for ``snapshots``, each real as its repr."""
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(["snapshot_time", "priorities"])
+    for time, priorities in snapshots:
+        writer.writerow([repr(time), ";".join(map(repr, priorities))])
+    return handle.getvalue().encode()
+
+
+class TestSharedCellTexts:
+    """A trace's writers share its priority and arrival texts; the bytes stay those of repr."""
+
+    @staticmethod
+    def written(tmp_path, trace) -> tuple[bytes, bytes]:
+        """The trace and snapshot files written from the trace, checked against
+        the ones written from its records and snapshots."""
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_snapshots_csv(trace, tmp_path / "snaps.csv")
+        write_trace_csv(trace.records, tmp_path / "records.csv")
+        write_snapshots_csv(trace.snapshots, tmp_path / "snapshots.csv")
+        data = (tmp_path / "trace.csv").read_bytes(), (tmp_path / "snaps.csv").read_bytes()
+        assert data == ((tmp_path / "records.csv").read_bytes(), (tmp_path / "snapshots.csv").read_bytes())
+        return data
+
+    def test_signed_zero_levels_keep_their_own_texts(self, tmp_path) -> None:
+        quantile = lambda u: math.copysign(0.0, u - 0.5)  # noqa: E731
+        trace = simulate(SimConfig(SystemParams(3.0, 2), 40.0, 7, priority_quantile=quantile))
+        assert {repr(p) for p in trace.priority} == {"-0.0", "0.0"}
+        trace_csv, snaps_csv = self.written(tmp_path, trace)
+        assert trace_csv == _csv_module_trace(trace.records)
+        assert snaps_csv == _csv_module_snapshots(trace.snapshots)
+        assert b"-0.0;0.0" in snaps_csv or b"0.0;-0.0" in snaps_csv
+        back = read_snapshots_csv(tmp_path / "snaps.csv")
+        assert [tuple(map(repr, s.priorities)) for s in back] == [
+            tuple(map(repr, s.priorities)) for s in trace.snapshots
+        ]
+
+    def test_censored_and_never_served_customers(self, tmp_path) -> None:
+        trace = simulate(SimConfig(SystemParams(5.0, 2), 30.0, 43))
+        assert any(r.is_censored and r.last_service_entry is None for r in trace.records)
+        assert any(r.is_censored and r.last_service_entry is not None for r in trace.records)
+        # Entries at a departure instant, not at the customer's own arrival.
+        assert any(e is not None and e != a for a, e in zip(trace.arrival_time, trace.last_service_entry))
+        trace_csv, snaps_csv = self.written(tmp_path, trace)
+        assert trace_csv == _csv_module_trace(trace.records)
+        assert snaps_csv == _csv_module_snapshots(trace.snapshots)
+
+    def test_empty_trace_writes_headers_only(self, tmp_path) -> None:
+        trace = simulate(SimConfig(PARAMS, 0.0, 1))
+        assert len(trace) == 0
+        assert self.written(tmp_path, trace) == (
+            b"customer_id,priority,arrival_time,last_service_entry,departure_time,service_time\r\n",
+            b"snapshot_time,priorities\r\n",
+        )
+
+    def test_unstored_snapshots_write_a_header_only(self, tmp_path) -> None:
+        trace = simulate(SimConfig(PARAMS, 100.0, 3, record_snapshots=False))
+        assert len(trace) > 0 and trace.snapshots == ()
+        trace_csv, snaps_csv = self.written(tmp_path, trace)
+        assert snaps_csv == b"snapshot_time,priorities\r\n"
+        assert trace_csv == _csv_module_trace(simulate(SimConfig(PARAMS, 100.0, 3)).records)
+
+    def test_times_matching_no_arrival_fall_back_to_repr(self, tmp_path) -> None:
+        trace = SimTrace(
+            priority=(0.25, -0.0, 0.75),
+            arrival_time=(0.0, 1.0, 2.0),
+            last_service_entry=(-0.0, 1.5, None),
+            departure_time=(3.0, 4.0, None),
+            service_time=(3.0, 2.5, None),
+            snapshots=(
+                Snapshot(-0.0, ()),
+                Snapshot(0.5, (0.25,)),  # snapshot j need not be at arrival j
+                Snapshot(1.0, (0.0, 0.25, 0.5)),  # levels of no customer
+                Snapshot(2.5, (-0.0, 0.25)),
+            ),
+        )
+        trace_csv, snaps_csv = self.written(tmp_path, trace)
+        assert trace_csv == _csv_module_trace(trace.records)
+        assert snaps_csv == _csv_module_snapshots(trace.snapshots)
+        assert b"\r\n0,0.25,0.0,-0.0,3.0,3.0\r\n1,-0.0,1.0,1.5,4.0,2.5\r\n" in trace_csv
+        assert snaps_csv.endswith(b"\r\n-0.0,\r\n0.5,0.25\r\n1.0,0.0;0.25;0.5\r\n2.5,-0.0;0.25\r\n")
 
 
 def test_single_server_mean_population_is_plausible() -> None:

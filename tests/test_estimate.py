@@ -6,6 +6,7 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -554,6 +555,30 @@ class TestCurveCsv:
                 writer.writerow([repr(p), "" if v is None else repr(v.value)])
         write_points_csv(points, values, tmp_path / "points.csv")
         assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_numpy_points_write_as_python_floats(self, tmp_path) -> None:
+        # Under numpy 2 the repr of np.float64(0.5) is "np.float64(0.5)".
+        grid = BinGrid(0.25)
+        values = [ExtendedReal(2.5), None, INFINITY, ExtendedReal(0.125)]
+        write_points_csv(np.array(grid.centers), values, tmp_path / "numpy.csv")
+        write_points_csv(grid.centers, values, tmp_path / "python.csv")
+        assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+        assert b"np." not in (tmp_path / "numpy.csv").read_bytes()
+        assert read_curve_csv(tmp_path / "numpy.csv") == CurveEstimate(grid, tuple(values))
+        write_points_csv(np.linspace(0.0, 1.0, 3), values[:3], tmp_path / "linspace.csv")
+        assert (tmp_path / "linspace.csv").read_bytes() == b"p,value\r\n0.0,2.5\r\n0.5,\r\n1.0,inf\r\n"
+
+    def test_curves_on_one_grid_share_its_center_texts(self, tmp_path) -> None:
+        grid = BinGrid(0.25)
+        assert grid.centers is grid.centers
+        assert grid._center_texts == tuple(map(repr, grid.centers))
+        for k, value in enumerate((None, INFINITY, ExtendedReal(1.0))):
+            curve = CurveEstimate(grid, (value,) * grid.n_bins)
+            write_curve_csv(curve, tmp_path / f"curve{k}.csv")
+            write_points_csv(grid.centers, curve.values, tmp_path / f"points{k}.csv")
+            assert (tmp_path / f"curve{k}.csv").read_bytes() == (tmp_path / f"points{k}.csv").read_bytes()
+            assert read_curve_csv(tmp_path / f"curve{k}.csv") == curve
+        assert grid._center_texts is grid._center_texts
 
     def test_round_trip_from_simulation(self, tmp_path) -> None:
         trace = simulate(SimConfig(SystemParams(1.5, 2), 300.0, 14))

@@ -187,3 +187,13 @@ def test_reference_csv_bytes_are_pinned(tmp_path, name) -> None:
     write_snapshots_csv(trace.snapshots, tmp_path / "snaps.csv")
     data = (tmp_path / "trace.csv").read_bytes() + (tmp_path / "snaps.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_DIGESTS))
+def test_reference_csv_bytes_are_pinned_from_the_trace(tmp_path, name) -> None:
+    config, digest = REFERENCE_DIGESTS[name]
+    trace = reference_simulate(config)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    write_snapshots_csv(trace, tmp_path / "snaps.csv")
+    data = (tmp_path / "trace.csv").read_bytes() + (tmp_path / "snaps.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
