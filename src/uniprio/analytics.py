@@ -73,11 +73,22 @@ _TERMS_CACHE_SIZE = 4096
 
 
 def _as_real(name: str, value) -> float:
-    # int, float and numpy reals pass; a bool or a string is refused rather
-    # than read as 1.0 or parsed.
+    # int, float and numpy reals pass as a float, a float at once (every level
+    # check comes here); a bool or a string is refused, not read as 1.0 or parsed.
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _as_int(name: str, value) -> int:
+    # int and numpy integers pass as an int; a bool, float or string is refused.
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class UnstableRegionError(ValueError):
@@ -105,8 +116,7 @@ class SystemParams:
         object.__setattr__(self, "alpha", _as_real("alpha", self.alpha))
         if not math.isfinite(self.alpha) or self.alpha <= 0.0:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if isinstance(self.c, bool) or not isinstance(self.c, int):
-            raise ValueError(f"c must be an integer, got {self.c!r}")
+        object.__setattr__(self, "c", _as_int("c", self.c))
         if self.c < 1:
             raise ValueError(f"c must be at least 1, got {self.c}")
 
@@ -199,7 +209,7 @@ def stability_threshold(params: SystemParams) -> StabilityRegime:
 
 
 def _check_level(p: float) -> float:
-    p = float(p)
+    p = _as_real("priority level", p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"priority level must lie in [0, 1], got {p}")
     return p
@@ -291,8 +301,7 @@ def tail_pmf(params: SystemParams, p: float, k: int) -> float:
         UnstableRegionError: when ``(1 - p) * alpha >= c`` (the count is then
             almost surely infinite and no pmf exists).
     """
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    k = _as_int("k", k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     a, (p0, pi_c, _) = _tail(params, p)

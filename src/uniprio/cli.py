@@ -26,6 +26,7 @@ from typing import Callable, Mapping
 from .analytics import (
     ExtendedReal,
     SystemParams,
+    _as_int,
     _as_real,
     priority_density,
     sojourn_time,
@@ -95,9 +96,7 @@ class ExperimentConfig:
             raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         for name in ("seed", "replications", "curve_resolution", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         for name in ("horizon", "delta", "warmup_fraction"):
             object.__setattr__(self, name, _as_real(name, getattr(self, name)))
         object.__setattr__(self, "grid", BinGrid(self.delta))  # validates the bin width
@@ -213,7 +212,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out.mkdir(parents=True, exist_ok=True)
     params = config.params
 
-    density = DensityAccumulator(config.grid)
+    density = DensityAccumulator(config.grid, config.warmup_fraction * config.horizon)
     delays = RecordBinStats(config.grid)
     artifacts: dict[str, Path] = {}
 
@@ -337,9 +336,9 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
 def _integer(settings: Mapping, key: str) -> int:
     # JSON may spell 2 as 2.0; 2.7, true and "2" are refused rather than truncated.
     value = settings[key]
-    if type(value) not in (int, float) or type(value) is float and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    return _as_int(key, value)
 
 
 def _path(settings: Mapping, key: str) -> Path:

@@ -27,7 +27,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from .analytics import SystemParams, _as_real
+from .analytics import SystemParams, _as_int, _as_real
 
 if TYPE_CHECKING:
     from .estimate import DensityAccumulator
@@ -130,8 +130,7 @@ class SimConfig:
         object.__setattr__(self, "horizon", _as_real("horizon", self.horizon))
         if not math.isfinite(self.horizon) or self.horizon < 0.0:
             raise ValueError(f"horizon must be finite and nonnegative, got {self.horizon}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _as_int("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -181,6 +180,12 @@ class SimTrace:
             self.departure_time,
             self.service_time,
         )
+
+    @classmethod
+    def _of_run(cls, priority, arrival, entered, departed, served, snapshots) -> SimTrace:
+        """A run's trace from its lists; ``served`` is ``service_time`` where ``departed`` is set."""
+        service = (None if d is None else s for d, s in zip(departed, served))
+        return cls(*map(tuple, (priority, arrival, entered, departed, service, snapshots)))
 
     @cached_property
     def records(self) -> tuple[CustomerRecord, ...]:
@@ -316,14 +321,7 @@ def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> S
                 insort(in_service, promoted)
                 entered[promoted[1]] = time
 
-    trace = SimTrace(
-        priority=tuple(displays),
-        arrival_time=tuple(arrivals),
-        last_service_entry=tuple(entered),
-        departure_time=tuple(departed),
-        service_time=tuple(None if d is None else s for d, s in zip(departed, served)),
-        snapshots=tuple(snapshots),
-    )
+    trace = SimTrace._of_run(displays, arrivals, entered, departed, served, snapshots)
     if observer is not None:
         observer.add_trace(trace)
     return trace
@@ -404,27 +402,24 @@ def write_trace_csv(trace_or_records: SimTrace | Iterable[CustomerRecord], path)
         handle.writelines(f"{i},{p},{a},{e},{d},{s}\r\n" for i, p, a, e, d, s in rows)
 
 
+def _real(cell: str) -> float | None:
+    """The value of a cell :func:`_cells` wrote: None for an empty cell."""
+    return float(cell) if cell else None
+
+
 def read_trace_csv(path) -> tuple[CustomerRecord, ...]:
     """Parse a file written by :func:`write_trace_csv`, exactly round-tripping."""
-    out: list[CustomerRecord] = []
+    optional = CustomerRecord._fields[3:]  # the times that may be missing
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            out.append(
-                CustomerRecord(
-                    customer_id=int(row["customer_id"]),
-                    priority=float(row["priority"]),
-                    arrival_time=float(row["arrival_time"]),
-                    last_service_entry=(
-                        float(row["last_service_entry"]) if row["last_service_entry"] else None
-                    ),
-                    departure_time=(
-                        float(row["departure_time"]) if row["departure_time"] else None
-                    ),
-                    service_time=float(row["service_time"]) if row["service_time"] else None,
-                )
+        return tuple(
+            CustomerRecord(
+                int(row["customer_id"]),
+                float(row["priority"]),
+                float(row["arrival_time"]),
+                *(_real(row[name]) for name in optional),
             )
-    return tuple(out)
+            for row in csv.DictReader(handle)
+        )
 
 
 def write_snapshots_csv(trace_or_snapshots: SimTrace | Iterable[Snapshot], path) -> None:
@@ -437,13 +432,13 @@ def write_snapshots_csv(trace_or_snapshots: SimTrace | Iterable[Snapshot], path)
     :func:`write_trace_csv`: a float repr holds no comma, quote or line
     break, so ``csv.writer`` would quote nothing either.
     """
-    if isinstance(trace_or_snapshots, SimTrace):
+    if isinstance(trace_or_snapshots, SimTrace) and trace_or_snapshots.snapshots:
         trace = trace_or_snapshots
         snapshots: Iterable[Snapshot] = trace.snapshots
         times = _ReprCache((trace.arrival_time, trace._arrival_texts))
         levels = _ReprCache((trace.priority, trace._priority_texts))
-    else:
-        snapshots = trace_or_snapshots
+    else:  # a trace without snapshots formats nothing for its header-only file
+        snapshots = () if isinstance(trace_or_snapshots, SimTrace) else trace_or_snapshots
         times, levels = _ReprCache(), _ReprCache()
     time_text, level_text = times.__getitem__, levels.__getitem__
     with open(path, "w", newline="") as handle:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import INFINITY, ExtendedReal, _as_real
-from .des import CustomerRecord, SimTrace, Snapshot, _cells
+from .des import CustomerRecord, SimTrace, Snapshot, _cells, _real
 
 __all__ = [
     "BinGrid",
@@ -59,7 +59,7 @@ class BinGrid:
     n_bins: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", _as_real("delta", self.delta))
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
         n = round(1.0 / self.delta)
@@ -125,6 +125,14 @@ class CurveEstimate:
 _BLOCK = 4096
 
 
+def _start_time(value: float) -> float:
+    # A warm-up cutoff of NaN would count no snapshot but tally every customer.
+    start_time = _as_real("start_time", value)
+    if np.isnan(start_time):
+        raise ValueError("start_time must not be NaN")
+    return start_time
+
+
 class DensityAccumulator:
     """Per-bin population counts over arrival snapshots, mergeable across replications.
 
@@ -137,7 +145,7 @@ class DensityAccumulator:
 
     def __init__(self, grid: BinGrid, start_time: float = 0.0) -> None:
         self.grid = grid
-        self.start_time = _as_real("start_time", start_time)
+        self.start_time = _start_time(start_time)
         self._sums = np.zeros(grid.n_bins)
         self._snapshots = 0
 
@@ -194,8 +202,8 @@ class DensityAccumulator:
 
     def merge(self, other: "DensityAccumulator") -> "DensityAccumulator":
         """Add ``other``'s sums and snapshot count; ``other`` is unchanged."""
-        if other.grid != self.grid:
-            raise ValueError("cannot merge accumulators on different grids")
+        if (other.grid, other.start_time) != (self.grid, self.start_time):
+            raise ValueError("cannot merge accumulators on different grids or start times")
         self._sums += other._sums
         self._snapshots += other._snapshots
         return self
@@ -248,7 +256,7 @@ class RecordBinStats:
         call on a fresh instance sums exactly as a loop over the customers
         would. Further calls add their per-call sums, as :meth:`merge` would.
         """
-        start_time = _as_real("start_time", start_time)
+        start_time = _start_time(start_time)
         if isinstance(trace_or_records, SimTrace):
             columns = trace_or_records.columns
         else:  # no record gives six empty columns
@@ -320,7 +328,7 @@ def write_points_csv(points: Iterable[float], values: Iterable[ExtendedReal | No
     """One ``p,value`` row per point; infinity renders as ``inf``, no data as empty.
 
     Each real prints as ``repr(float(x))``, so numpy floats print as Python
-    floats do.
+    floats do. Unequal lengths raise ValueError before the file is opened.
     """
     _write_rows(_cells(points), values, path)
 
@@ -336,6 +344,8 @@ def write_curve_csv(curve: CurveEstimate, path) -> None:
 def _write_rows(points: Sequence[str], values: Iterable[ExtendedReal | None], path) -> None:
     """Write ``p,value`` rows from the points' cell texts and the values."""
     cells = _cells(None if v is None else v.value for v in values)
+    if len(points) != len(cells):
+        raise ValueError(f"{len(points)} points but {len(cells)} values")
     with open(path, "w", newline="") as handle:
         handle.write("p,value\r\n")
         handle.writelines(f"{p},{v}\r\n" for p, v in zip(points, cells))
@@ -343,11 +353,8 @@ def _write_rows(points: Sequence[str], values: Iterable[ExtendedReal | None], pa
 
 def read_curve_csv(path) -> CurveEstimate:
     """Rebuild a curve written by :func:`write_curve_csv`, exactly."""
-    rows: list[tuple[str, str]] = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            rows.append((row["p"], row["value"]))
+        rows = [(row["p"], row["value"]) for row in csv.DictReader(handle)]
     if not rows:
         raise ValueError(f"no curve rows in {path}")
     grid = BinGrid(1.0 / len(rows))
@@ -355,10 +362,6 @@ def read_curve_csv(path) -> CurveEstimate:
     for (p_text, value_text), center in zip(rows, grid.centers):
         if float(p_text) != center:
             raise ValueError(f"row center {p_text} does not match grid center {center!r}")
-        if value_text == "":
-            values.append(None)
-        elif value_text == "inf":
-            values.append(INFINITY)
-        else:
-            values.append(ExtendedReal(float(value_text)))
+        value = _real(value_text)
+        values.append(None if value is None else ExtendedReal(value))
     return CurveEstimate(grid, tuple(values))

@@ -105,10 +105,10 @@ def finite_difference(fn, p: float, h: float = 1e-6) -> float:
 
     ``fn`` may return floats or values with a ``value`` attribute (the
     extended reals from the analytics module). Infinite evaluations have no
-    usable difference and raise.
+    usable difference and raise, as does a step that is not finite and positive.
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    if not 0.0 < h < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"step must be finite and positive, got {h}")
     upper = _as_float(fn(p + h))
     lower = _as_float(fn(p - h))
     if math.isinf(upper) or math.isinf(lower):
@@ -211,11 +211,4 @@ def reference_simulate(config: SimConfig) -> SimTrace:
                 _, promoted = heapq.heappop(waiting)
                 enter_service(promoted, time)
 
-    return SimTrace(
-        priority=tuple(displays),
-        arrival_time=tuple(arrivals),
-        last_service_entry=tuple(entered),
-        departure_time=tuple(departed),
-        service_time=tuple(None if d is None else s for d, s in zip(departed, served)),
-        snapshots=tuple(snapshots),
-    )
+    return SimTrace._of_run(displays, arrivals, entered, departed, served, snapshots)

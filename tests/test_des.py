@@ -29,6 +29,7 @@ from uniprio.des import (
     write_trace_csv,
 )
 from uniprio.estimate import BinGrid, DensityAccumulator
+from uniprio.oracle import reference_simulate
 
 PARAMS = SystemParams(1.5, 2)
 
@@ -50,7 +51,8 @@ class TestSimConfig:
             SimConfig(PARAMS, 10.0, True)
 
     def test_accepts_numpy_seed(self) -> None:
-        SimConfig(PARAMS, 10.0, np.int64(3))
+        seed = SimConfig(PARAMS, 10.0, np.int64(3)).seed
+        assert seed == 3 and type(seed) is int
 
     def test_rejects_negative_seed(self) -> None:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
@@ -420,6 +422,13 @@ class TestColumnarTrace:
         assert [s is None for s in trace.service_time] == [d is None for d in trace.departure_time]
         assert trace.departure_time.count(None) == trace.final_population > 0
 
+    @pytest.mark.parametrize("simulator", [simulate, reference_simulate])
+    def test_both_simulators_assemble_traces_alike(self, simulator) -> None:
+        trace = simulator(self.CONFIG)
+        assert all(type(column) is tuple for column in trace.columns[1:] + (trace.snapshots,))
+        assert [s is None for s in trace.service_time] == [d is None for d in trace.departure_time]
+        assert trace.final_population > 0 and len(trace.snapshots) == len(trace)
+
     def test_record_properties(self) -> None:
         done = CustomerRecord(3, 0.4, 1.0, 2.0, 5.0, 2.5)
         assert not done.is_censored
@@ -474,6 +483,16 @@ class TestCsvRoundTrip:
         write_snapshots_csv(trace.snapshots, tmp_path / "snaps.csv")
         assert (tmp_path / "trace.csv").read_bytes() == _csv_module_trace(trace.records)
         assert (tmp_path / "snaps.csv").read_bytes() == _csv_module_snapshots(trace.snapshots)
+
+    def test_optional_cells_round_trip(self, tmp_path) -> None:
+        # Empty, infinite, negative zero and numpy-float cells in each optional column.
+        cells = [None, math.inf, -0.0, np.float64(0.1), np.float32(0.5)]
+        records = [CustomerRecord(i, 0.5, 1.0, *(cells[(i + j) % 5] for j in range(3))) for i in range(5)]
+        write_trace_csv(records, tmp_path / "trace.csv")
+        back = read_trace_csv(tmp_path / "trace.csv")
+        expected = [(r[0], *(None if v is None else float(v) for v in r[1:])) for r in records]
+        assert [tuple(map(repr, r)) for r in back] == [tuple(map(repr, r)) for r in expected]
+        assert {type(v) for r in back for v in r[3:]} == {float, type(None)}
 
     def test_numpy_floats_write_as_python_floats(self, tmp_path) -> None:
         # Under numpy 2 the repr of np.float64(0.5) is "np.float64(0.5)".
@@ -564,6 +583,12 @@ class TestSharedCellTexts:
         trace_csv, snaps_csv = self.written(tmp_path, trace)
         assert snaps_csv == b"snapshot_time,priorities\r\n"
         assert trace_csv == _csv_module_trace(simulate(SimConfig(PARAMS, 100.0, 3)).records)
+
+    def test_unstored_snapshots_format_no_cell(self, tmp_path) -> None:
+        trace = simulate(SimConfig(PARAMS, 100.0, 3, record_snapshots=False))
+        write_snapshots_csv(trace, tmp_path / "snaps.csv")
+        assert (tmp_path / "snaps.csv").read_bytes() == b"snapshot_time,priorities\r\n"
+        assert "_priority_texts" not in vars(trace) and "_arrival_texts" not in vars(trace)
 
     def test_times_matching_no_arrival_fall_back_to_repr(self, tmp_path) -> None:
         trace = SimTrace(

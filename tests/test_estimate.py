@@ -252,6 +252,28 @@ class TestDensityEstimation:
         with pytest.raises(ValueError):
             DensityAccumulator(BinGrid(0.5)).merge(DensityAccumulator(BinGrid(0.25)))
 
+    def test_merge_rejects_mismatched_start_times(self) -> None:
+        acc = DensityAccumulator(GRID20, 10.0)
+        with pytest.raises(ValueError, match="start times"):
+            acc.merge(DensityAccumulator(GRID20, 0.0).add_snapshots([Snapshot(1.0, (0.5,))]))
+        assert acc.snapshot_count == 0
+        assert acc.merge(DensityAccumulator(GRID20, 10.0)).snapshot_count == 0
+
+    def test_both_reductions_refuse_a_nan_start_time(self) -> None:
+        # A NaN window would count no snapshot but tally every customer.
+        trace = simulate(SimConfig(SystemParams(1.5, 2), 200.0, 3))
+        with pytest.raises(ValueError, match="start_time must not be NaN"):
+            DensityAccumulator(GRID20, math.nan)
+        stats = RecordBinStats(GRID20)
+        with pytest.raises(ValueError, match="start_time must not be NaN"):
+            stats.add(trace, math.nan)
+        assert stats.departed_total == stats.censored_total == 0
+        # Infinite windows stay consistent: nothing after +inf, everything after -inf.
+        for start, counted in [(math.inf, 0), (-math.inf, len(trace))]:
+            assert DensityAccumulator(GRID20, start).add_trace(trace).snapshot_count == counted
+            stats = RecordBinStats(GRID20).add(trace, start)
+            assert stats.departed_total + stats.censored_total == counted
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 10, 20, 49, 100])
     def test_block_binning_follows_index_of_at_every_edge(self, n: int) -> None:
         grid = BinGrid(1.0 / n)
@@ -567,6 +589,22 @@ class TestCurveCsv:
         assert read_curve_csv(tmp_path / "numpy.csv") == CurveEstimate(grid, tuple(values))
         write_points_csv(np.linspace(0.0, 1.0, 3), values[:3], tmp_path / "linspace.csv")
         assert (tmp_path / "linspace.csv").read_bytes() == b"p,value\r\n0.0,2.5\r\n0.5,\r\n1.0,inf\r\n"
+
+    def test_cells_round_trip(self, tmp_path) -> None:
+        values = (None, INFINITY, ExtendedReal(-0.0), ExtendedReal(np.float64(0.1)))
+        write_points_csv(np.array(BinGrid(0.25).centers), values, tmp_path / "curve.csv")
+        assert (tmp_path / "curve.csv").read_bytes().split(b"\r\n")[1:] == [
+            b"0.125,", b"0.375,inf", b"0.625,-0.0", b"0.875,0.1", b""
+        ]
+        back = read_curve_csv(tmp_path / "curve.csv").values
+        assert back == values and repr(back[2].value) == "-0.0" and type(back[3].value) is float
+
+    @pytest.mark.parametrize("n_points", [0, 2, 4])
+    def test_points_and_values_must_match_in_length(self, tmp_path, n_points: int) -> None:
+        values = [ExtendedReal(1.0), None, INFINITY]
+        with pytest.raises(ValueError, match=f"{n_points} points but 3 values"):
+            write_points_csv([i / 4 for i in range(n_points)], values, tmp_path / "points.csv")
+        assert not (tmp_path / "points.csv").exists()
 
     def test_curves_on_one_grid_share_its_center_texts(self, tmp_path) -> None:
         grid = BinGrid(0.25)

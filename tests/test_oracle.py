@@ -125,6 +125,11 @@ class TestFiniteDifference:
         with pytest.raises(ValueError):
             finite_difference(lambda x: x, 0.5, h=0.0)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -1e-6])
+    def test_rejects_a_step_not_finite_and_positive(self, h: float) -> None:
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            finite_difference(lambda x: x, 0.5, h=h)
+
     def test_rejects_infinite_endpoint(self) -> None:
         with pytest.raises(ValueError):
             finite_difference(lambda x: math.inf, 0.5)
