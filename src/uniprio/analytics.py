@@ -189,9 +189,9 @@ class StabilityRegime:
 def is_stable(params: SystemParams, p: float) -> bool:
     """True when the subsystem above level ``p`` is positive recurrent.
 
-    Exact comparison ``(1 - p) * alpha < c``, no epsilon.
+    Exact comparison ``(1 - p) * alpha < c``, no epsilon; ``p`` is checked as any level is.
     """
-    return (1.0 - p) * params.alpha < params.c
+    return (1.0 - _check_level(p)) * params.alpha < params.c
 
 
 def stability_threshold(params: SystemParams) -> StabilityRegime:
@@ -245,17 +245,17 @@ def _load_terms(a: float, c: int) -> tuple[float, float, float]:
 def _tail(
     params: SystemParams, p: float, strict: bool = True
 ) -> tuple[float, tuple[float, float, float]] | None:
-    # The load a = (1 - p) alpha above level p and its terms from _load_terms.
-    # Where no steady state exists this raises, or returns None if not strict.
+    # The load a = (1 - p) alpha above level p, checked here, and its terms from
+    # _load_terms. Where a >= c (no steady state) this raises, or returns None if not strict.
     p = _check_level(p)
-    if not is_stable(params, p):
+    a = (1.0 - p) * params.alpha
+    if not a < params.c:
         if not strict:
             return None
         raise UnstableRegionError(
             f"no steady state at level p={p} for alpha={params.alpha}, c={params.c}: "
-            f"thinned arrival rate {(1.0 - p) * params.alpha} is not below {params.c}"
+            f"thinned arrival rate {a} is not below {params.c}"
         )
-    a = (1.0 - p) * params.alpha
     return a, _load_terms(a, params.c)
 
 
@@ -396,14 +396,14 @@ def mean_measure(params: SystemParams, a: float, b: float) -> ExtendedReal:
     Raises:
         ValueError: if the endpoints are outside [0, 1] or ``a > b``.
     """
-    a = _check_level(a)
-    b = _check_level(b)
+    low = expected_tail_count(params, a)  # each endpoint is checked here, once
+    high = expected_tail_count(params, b)
     if a > b:
         raise ValueError(f"interval endpoints out of order: a={a} > b={b}")
     if a == b:
         return ExtendedReal(0.0)
-    if not is_stable(params, a):
+    if not low.is_finite:
         return INFINITY
-    diff = expected_tail_count(params, a).finite - expected_tail_count(params, b).finite
+    diff = low.value - high.finite
     # The analytic difference is nonnegative; absorb last-ulp rounding noise.
     return ExtendedReal(diff if diff > 0.0 else 0.0)

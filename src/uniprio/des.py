@@ -9,21 +9,21 @@ is distribution-equal to racing per-customer unit-rate clocks (the slower
 construction lives in :mod:`uniprio.oracle` as an independent check) while
 touching only one clock per event.
 
-Observables follow the arrivals-see-time-averages route: immediately before
-each arrival joins, the sorted multiset of priorities present is recorded as
-a snapshot. Only while snapshots are stored does the simulator also keep the
-priorities present as one ascending list, so that a snapshot is a copy of it.
+Observables follow the arrivals-see-time-averages route: the snapshot of an
+arrival is the sorted multiset of priorities present just before it joins.
+The event loop stores none of them: a trace's columns fix every snapshot, and
+:attr:`SimTrace.snapshots` builds them from the columns on first read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -114,10 +114,8 @@ class SimConfig:
     to priorities of the desired distribution. Scheduling always uses the raw
     uniform draws (order is all that matters), so two runs with the same seed
     and different quantile maps share every event time; only logged priorities
-    differ. ``record_snapshots=False`` skips storing per-arrival snapshots,
-    which long overloaded runs need to keep memory bounded, and with them the
-    ascending list of priorities present that each snapshot copies; an
-    observer still counts every snapshot, from the trace's columns.
+    differ. ``record_snapshots=False`` gives a trace whose ``snapshots`` are
+    empty; an observer still counts every snapshot, from the trace's columns.
     """
 
     params: SystemParams
@@ -143,8 +141,8 @@ class SimTrace:
     :class:`CustomerRecord` field after ``customer_id``: ``service_time`` is
     None exactly where ``departure_time`` is. :attr:`records` builds the
     records on first access; ``len(trace)`` counts customers without them.
-    The run's counts, :attr:`final_population` and :attr:`event_count`, are
-    derived from the columns.
+    The run's counts, :attr:`final_population` and :attr:`event_count`, and
+    its per-arrival :attr:`snapshots` are derived from the columns.
     """
 
     priority: tuple[float, ...]
@@ -152,7 +150,6 @@ class SimTrace:
     last_service_entry: tuple[float | None, ...]
     departure_time: tuple[float | None, ...]
     service_time: tuple[float | None, ...]
-    snapshots: tuple[Snapshot, ...]
 
     def __len__(self) -> int:
         return len(self.arrival_time)
@@ -182,14 +179,54 @@ class SimTrace:
         )
 
     @classmethod
-    def _of_run(cls, priority, arrival, entered, departed, served, snapshots) -> SimTrace:
+    def _of_run(cls, config: SimConfig, priority, arrival, entered, departed, served) -> SimTrace:
         """A run's trace from its lists; ``served`` is ``service_time`` where ``departed`` is set."""
         service = (None if d is None else s for d, s in zip(departed, served))
-        return cls(*map(tuple, (priority, arrival, entered, departed, service, snapshots)))
+        trace = cls(*map(tuple, (priority, arrival, entered, departed, service)))
+        if not config.record_snapshots:
+            vars(trace)["snapshots"] = ()
+        return trace
 
     @cached_property
     def records(self) -> tuple[CustomerRecord, ...]:
         return tuple(map(CustomerRecord._make, zip(*self.columns)))
+
+    def _snapshot_ends(self) -> np.ndarray:
+        """Per customer ``i``, the end ``hi`` of the snapshots ``i + 1 .. hi - 1`` it is in.
+
+        Snapshot ``j`` is taken at arrival ``j``, before it joins, so ``hi`` counts the
+        arrivals at or before ``i``'s departure (served first on a tie), or all of them
+        if ``i`` is censored: its None reads as NaN, which sorts after every arrival.
+        """
+        arrival = np.array(self.arrival_time, dtype=np.float64)
+        return np.searchsorted(arrival, np.array(self.departure_time, dtype=np.float64), "right")
+
+    @cached_property
+    def snapshots(self) -> tuple[Snapshot, ...]:
+        """Every arrival's snapshot, built on first read: levels ascending, equal ones by arrival."""
+        priority = self.priority
+        ends = self._snapshot_ends()
+        # Customers in the order they leave, and how many have left before each snapshot.
+        leavers = np.argsort(ends, kind="stable").tolist()
+        left = np.cumsum(np.bincount(ends, minlength=len(self) + 1)).tolist()
+        # The displays present, ascending and equal ones by arrival, and their customers.
+        present, ids, views = [], [], []
+        k = 0
+        for j, display in enumerate(priority):
+            while k < left[j]:
+                # Among equal displays (say -0.0 and 0.0), drop the leaver's own.
+                i = leavers[k]
+                at = bisect_left(present, priority[i])
+                while ids[at] != i:
+                    at += 1
+                del present[at], ids[at]
+                k += 1
+            views.append(tuple(present))
+            at = bisect_right(present, display)
+            present.insert(at, display)
+            ids.insert(at, j)
+        # Snapshot._make without a Python call per snapshot.
+        return tuple(map(tuple.__new__, repeat(Snapshot), zip(self.arrival_time, views)))
 
     # Cell texts of the two columns that both the trace and the snapshot file
     # print, formatted on first use.
@@ -232,8 +269,9 @@ def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> S
     are recorded as censored.
 
     ``observer``, when given, is a density accumulator that takes the finished
-    trace through ``add_trace``: it counts every snapshot, stored or not, and
-    bins the displayed priorities, as ``add_snapshots`` does.
+    trace through ``add_trace``: it counts every snapshot from the columns,
+    without building them, and bins the displayed priorities, as
+    ``add_snapshots`` does.
     """
     rng = np.random.default_rng(config.seed)
     # One C-level call per uniform; the lambda runs once per block.
@@ -243,22 +281,18 @@ def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> S
     horizon = config.horizon
     quantile = config.priority_quantile
 
-    # Every customer is keyed once as (-level, id, display), so that ascending
-    # order ranks the strongest first and, between equal levels, the earlier
-    # arrival first. In service: an ascending list of at most c keys, weakest
-    # last. Waiting: a heap of keys, strongest on top. A preempted or promoted
+    # Every customer is keyed once as (-level, id), so that ascending order
+    # ranks the strongest first and, between equal levels, the earlier arrival
+    # first. In service: an ascending list of at most c keys, weakest last.
+    # Waiting: a heap of keys, strongest on top. A preempted or promoted
     # customer moves its key between the two unchanged.
-    in_service: list[tuple[float, int, float]] = []
-    queue: list[tuple[float, int, float]] = []
+    in_service: list[tuple[float, int]] = []
+    queue: list[tuple[float, int]] = []
     arrivals: list[float] = []
     displays: list[float] = []
     entered: list[float | None] = []
     departed: list[float | None] = []
     served: list[float] = []
-    snapshots: list[Snapshot] = []
-    keep_snapshots = config.record_snapshots
-    # Displays of everyone present, ascending; kept only for snapshots.
-    present: list[float] = []
 
     time = 0.0
     next_arrival = -math.log1p(-uniform()) / alpha
@@ -273,16 +307,11 @@ def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> S
             if next_arrival > horizon:
                 break
             time = next_arrival
-            if keep_snapshots:
-                snapshots.append(Snapshot(time, tuple(present)))
             level = uniform()
-            display = float(quantile(level)) if quantile is not None else level
-            if keep_snapshots:
-                insort(present, display)
             customer = len(arrivals)
-            entry = (-level, customer, display)
+            entry = (-level, customer)
             arrivals.append(time)
-            displays.append(display)
+            displays.append(float(quantile(level)) if quantile is not None else level)
             departed.append(None)
             served.append(0.0)
             if busy < servers:
@@ -306,13 +335,7 @@ def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> S
                 break
             time = next_completion
             # The n-th highest in service sits at index n.
-            _, victim, victim_display = in_service.pop(int(uniform() * busy))
-            if keep_snapshots:
-                # Among equal displays (say -0.0 and 0.0), drop the victim's own.
-                i = bisect_left(present, victim_display)
-                while present[i] is not victim_display:
-                    i += 1
-                del present[i]
+            victim = in_service.pop(int(uniform() * busy))[1]
             departed[victim] = time
             served[victim] += time - entered[victim]
             if queue:
@@ -321,7 +344,7 @@ def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> S
                 insort(in_service, promoted)
                 entered[promoted[1]] = time
 
-    trace = SimTrace._of_run(displays, arrivals, entered, departed, served, snapshots)
+    trace = SimTrace._of_run(config, displays, arrivals, entered, departed, served)
     if observer is not None:
         observer.add_trace(trace)
     return trace
@@ -386,7 +409,7 @@ def write_trace_csv(trace_or_records: SimTrace | Iterable[CustomerRecord], path)
         ids: Iterable[int] = range(len(trace))
     else:  # no record gives six empty columns
         ids, *fields = tuple(zip(*trace_or_records)) or ((),) * 6
-        trace = SimTrace(*fields, snapshots=())
+        trace = SimTrace(*fields)
     departure = _cells(trace.departure_time)
     entry = _ReprCache((trace.arrival_time, trace._arrival_texts), (trace.departure_time, departure))
     rows = zip(
@@ -425,37 +448,29 @@ def read_trace_csv(path) -> tuple[CustomerRecord, ...]:
 def write_snapshots_csv(trace_or_snapshots: SimTrace | Iterable[Snapshot], path) -> None:
     """Write per-arrival snapshots, or a trace's; priorities are semicolon-joined, ascending.
 
-    Cells print as in :func:`write_trace_csv`. Given a trace, snapshot times
-    and levels take their texts from the trace's cached arrival and priority
-    texts, by value; any other value, and every value of plain snapshots, is
-    formatted once per file. Rows are formatted directly, as for
-    :func:`write_trace_csv`: a float repr holds no comma, quote or line
-    break, so ``csv.writer`` would quote nothing either.
+    Cells print as in :func:`write_trace_csv`. Given a trace, snapshot ``j``
+    takes the cached text of arrival ``j``, and its levels the cached priority
+    texts, by value (zeros are formatted); plain snapshots format each value
+    once per file. Rows are formatted directly, as for :func:`write_trace_csv`:
+    a float repr holds no comma, quote or line break, so ``csv.writer`` would
+    quote nothing either.
     """
     if isinstance(trace_or_snapshots, SimTrace) and trace_or_snapshots.snapshots:
         trace = trace_or_snapshots
-        snapshots: Iterable[Snapshot] = trace.snapshots
-        times = _ReprCache((trace.arrival_time, trace._arrival_texts))
         levels = _ReprCache((trace.priority, trace._priority_texts))
+        rows = zip(trace._arrival_texts, (priorities for _, priorities in trace.snapshots))
     else:  # a trace without snapshots formats nothing for its header-only file
         snapshots = () if isinstance(trace_or_snapshots, SimTrace) else trace_or_snapshots
         times, levels = _ReprCache(), _ReprCache()
-    time_text, level_text = times.__getitem__, levels.__getitem__
+        rows = ((times[time], priorities) for time, priorities in snapshots)
+    level_text = levels.__getitem__
     with open(path, "w", newline="") as handle:
         handle.write("snapshot_time,priorities\r\n")
-        handle.writelines(
-            f"{time_text(time)},{';'.join(map(level_text, priorities))}\r\n"
-            for time, priorities in snapshots
-        )
+        handle.writelines(f"{time},{';'.join(map(level_text, present))}\r\n" for time, present in rows)
 
 
 def read_snapshots_csv(path) -> tuple[Snapshot, ...]:
     """Parse a file written by :func:`write_snapshots_csv`."""
-    out: list[Snapshot] = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            cell = row["priorities"]
-            priorities = tuple(float(q) for q in cell.split(";")) if cell else ()
-            out.append(Snapshot(float(row["snapshot_time"]), priorities))
-    return tuple(out)
+        rows = [(row["snapshot_time"], row["priorities"].split(";")) for row in csv.DictReader(handle)]
+    return tuple(Snapshot(float(time), tuple(map(float, filter(None, cells)))) for time, cells in rows)

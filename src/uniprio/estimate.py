@@ -14,6 +14,7 @@ customer makes its bin infinite), the Exclude policy drops them.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -21,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analytics import INFINITY, ExtendedReal, _as_real
+from .analytics import INFINITY, ExtendedReal, _as_real, _check_level
 from .des import CustomerRecord, SimTrace, Snapshot, _cells, _real
 
 __all__ = [
@@ -85,15 +86,13 @@ class BinGrid:
         return i / n, (i + 1) / n
 
     def index_of(self, p: float) -> int:
-        """Bin index holding priority ``p``; exactly 1.0 goes to the last bin."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"priority {p} outside [0, 1] fits no bin")
+        """Bin index holding priority ``p``, checked as any level; exactly 1.0 goes to the last bin."""
         n = self.n_bins
-        i = int(p * n)
+        i = int(_check_level(p) * n)
         return i if i < n else n - 1
 
     def indices(self, levels: Iterable[float] | np.ndarray) -> np.ndarray:
-        """:meth:`index_of` over an array of priorities, with the same check."""
+        """:meth:`index_of` over an array of priorities, with the same range check."""
         q = np.asarray(levels, dtype=np.float64)
         outside = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both comparisons
         if outside.size:
@@ -150,26 +149,19 @@ class DensityAccumulator:
         self._snapshots = 0
 
     def add_trace(self, trace: SimTrace) -> "DensityAccumulator":
-        """Add the snapshots of ``trace``'s arrivals at or after ``start_time``.
+        """Add the snapshots of ``trace``'s arrivals at or after ``start_time``, unbuilt.
 
-        Arrival ``j``'s snapshot is taken at ``arrival[j]``, before ``j``
-        joins, and arrivals are ascending. So customer ``i`` is in snapshots
-        ``lo`` to ``hi - 1``: ``lo`` is the later of ``i + 1`` and the first
-        arrival at or after ``start_time``; ``hi`` counts the arrivals at or
-        before its departure, all of them if it is censored. An arrival tied
-        with a departure is served first, so the departing customer is in its
-        snapshot. A level outside [0, 1] (or NaN) raises ValueError and adds
-        nothing.
+        Customer ``i`` counts in snapshots ``i + 1`` to ``hi - 1`` (``hi`` from
+        ``SimTrace._snapshot_ends``) from the first at or after ``start_time``
+        on. A level outside [0, 1] (or NaN) raises ValueError and adds nothing.
         """
         bins = self.grid.indices(trace.priority)
-        arrival = np.array(trace.arrival_time, dtype=np.float64)
-        first = int(np.searchsorted(arrival, self.start_time, "left"))
-        # A censored customer's None reads as NaN, which sorts after every arrival.
-        hi = np.searchsorted(arrival, np.array(trace.departure_time, dtype=np.float64), "right")
-        lo = np.maximum(np.arange(1, arrival.size + 1), first)
-        seen = np.maximum(hi - lo, 0)
+        n = len(trace)
+        first = bisect_left(trace.arrival_time, self.start_time)
+        lo = np.maximum(np.arange(1, n + 1), first)
+        seen = np.maximum(trace._snapshot_ends() - lo, 0)
         self._sums += np.bincount(bins, weights=seen, minlength=self.grid.n_bins)
-        self._snapshots += arrival.size - first
+        self._snapshots += n - first
         return self
 
     def add_snapshots(self, snapshots: Iterable[Snapshot]) -> "DensityAccumulator":

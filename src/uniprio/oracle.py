@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .des import SimConfig, SimTrace, Snapshot
+from .des import SimConfig, SimTrace
 
 __all__ = [
     "BirthDeathSpec",
@@ -133,8 +133,8 @@ def reference_simulate(config: SimConfig) -> SimTrace:
     :func:`uniprio.des.simulate`, never bitwise-equal: the random stream is
     spent differently (one service draw per service entry, no victim choice).
 
-    Snapshot timing, censoring, the horizon boundary rule, and the quantile
-    transform behave exactly as in the main simulator.
+    Censoring, the horizon boundary rule and the quantile transform behave as
+    in the main simulator, and the trace derives its snapshots as any does.
     """
     rng = np.random.default_rng(config.seed)
     uniform = rng.random
@@ -148,13 +148,10 @@ def reference_simulate(config: SimConfig) -> SimTrace:
     entered: list[float | None] = []
     departed: list[float | None] = []
     served: list[float] = []
-    levels: dict[int, float] = {}  # everyone currently present
+    levels: list[float] = []  # raw uniforms, by id
 
     waiting: list[tuple[float, int]] = []  # (-level, id): best waiter on top
     clocks: dict[int, float] = {}  # in service: id -> completion time
-
-    snapshots: list[Snapshot] = []
-    keep_snapshots = config.record_snapshots
 
     def enter_service(cid: int, now: float) -> None:
         entered[cid] = now
@@ -172,10 +169,6 @@ def reference_simulate(config: SimConfig) -> SimTrace:
             if next_arrival > horizon:
                 break
             time = next_arrival
-            if keep_snapshots:
-                snapshots.append(
-                    Snapshot(time, tuple(sorted(displays[i] for i in levels)))
-                )
             level = uniform()
             display = float(quantile(level)) if quantile is not None else level
             cid = len(arrivals)
@@ -184,7 +177,7 @@ def reference_simulate(config: SimConfig) -> SimTrace:
             entered.append(None)
             departed.append(None)
             served.append(0.0)
-            levels[cid] = level
+            levels.append(level)
             if len(clocks) < servers:
                 enter_service(cid, time)
             else:
@@ -204,11 +197,10 @@ def reference_simulate(config: SimConfig) -> SimTrace:
                 break
             time = next_completion
             del clocks[leaving]
-            del levels[leaving]
             departed[leaving] = time
             served[leaving] += time - entered[leaving]
             if waiting:
                 _, promoted = heapq.heappop(waiting)
                 enter_service(promoted, time)
 
-    return SimTrace._of_run(displays, arrivals, entered, departed, served, snapshots)
+    return SimTrace._of_run(config, displays, arrivals, entered, departed, served)

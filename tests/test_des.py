@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,8 @@ def _present_at(trace, t: float) -> list[float]:
 class TestSnapshotContents:
     """Snapshots against the population the records imply, beyond the stable case."""
 
+    simulator = staticmethod(simulate)
+
     @pytest.mark.parametrize(
         "alpha, c, horizon, quantile",
         [
@@ -149,7 +152,7 @@ class TestSnapshotContents:
         ids=["overloaded", "many-server", "step-quantile"],
     )
     def test_snapshots_match_reconstruction_and_ascend(self, alpha, c, horizon, quantile) -> None:
-        trace = simulate(SimConfig(SystemParams(alpha, c), horizon, 8, priority_quantile=quantile))
+        trace = self.simulator(SimConfig(SystemParams(alpha, c), horizon, 8, priority_quantile=quantile))
         assert max(map(len, (s.priorities for s in trace.snapshots))) > c
         for snap in trace.snapshots:
             assert list(snap.priorities) == sorted(_present_at(trace, snap.time))
@@ -158,11 +161,35 @@ class TestSnapshotContents:
     def test_signed_zero_displays_keep_their_own_signs(self) -> None:
         # -0.0 == 0.0, so equality alone cannot tell which of them left.
         quantile = lambda u: -0.0 if u < 0.3 else (0.0 if u < 0.6 else u)  # noqa: E731
-        trace = simulate(SimConfig(PARAMS, 500.0, 9, priority_quantile=quantile))
+        trace = self.simulator(SimConfig(PARAMS, 500.0, 9, priority_quantile=quantile))
         for snap in trace.snapshots:
             expected = _present_at(trace, snap.time)
             assert sorted(map(repr, snap.priorities)) == sorted(map(repr, expected))
             assert list(snap.priorities) == sorted(expected)
+
+    def test_equal_displays_keep_arrival_order(self) -> None:
+        # The quantile hands every customer of a sign the same float object,
+        # so only the customer, not the object, says which one left.
+        quantile = lambda u: -0.0 if u < 0.5 else 0.0  # noqa: E731
+        trace = self.simulator(SimConfig(SystemParams(3.0, 2), 60.0, 9, priority_quantile=quantile))
+        for snap in trace.snapshots:
+            # _present_at lists customers by arrival; sorted() is stable.
+            assert repr(snap.priorities) == repr(tuple(sorted(_present_at(trace, snap.time))))
+
+
+class TestReferenceSnapshotContents(TestSnapshotContents):
+    """The same checks on the reference simulator's traces."""
+
+    simulator = staticmethod(reference_simulate)
+
+
+class TestSnapshotView:
+    def test_snapshots_are_built_only_when_read(self) -> None:
+        trace = simulate(SimConfig(PARAMS, 200.0, 5))
+        assert "snapshots" not in vars(trace)
+        snapshots = trace.snapshots
+        assert vars(trace)["snapshots"] is snapshots is trace.snapshots
+        assert len(snapshots) == len(trace)
 
 
 class TestDeterminism:
@@ -428,6 +455,7 @@ class TestColumnarTrace:
         assert all(type(column) is tuple for column in trace.columns[1:] + (trace.snapshots,))
         assert [s is None for s in trace.service_time] == [d is None for d in trace.departure_time]
         assert trace.final_population > 0 and len(trace.snapshots) == len(trace)
+        assert simulator(replace(self.CONFIG, record_snapshots=False)).snapshots == ()
 
     def test_record_properties(self) -> None:
         done = CustomerRecord(3, 0.4, 1.0, 2.0, 5.0, 2.5)
@@ -594,21 +622,26 @@ class TestSharedCellTexts:
         trace = SimTrace(
             priority=(0.25, -0.0, 0.75),
             arrival_time=(0.0, 1.0, 2.0),
-            last_service_entry=(-0.0, 1.5, None),
+            last_service_entry=(-0.0, 1.5, None),  # neither an arrival nor a departure
             departure_time=(3.0, 4.0, None),
             service_time=(3.0, 2.5, None),
-            snapshots=(
-                Snapshot(-0.0, ()),
-                Snapshot(0.5, (0.25,)),  # snapshot j need not be at arrival j
-                Snapshot(1.0, (0.0, 0.25, 0.5)),  # levels of no customer
-                Snapshot(2.5, (-0.0, 0.25)),
-            ),
         )
         trace_csv, snaps_csv = self.written(tmp_path, trace)
         assert trace_csv == _csv_module_trace(trace.records)
         assert snaps_csv == _csv_module_snapshots(trace.snapshots)
         assert b"\r\n0,0.25,0.0,-0.0,3.0,3.0\r\n1,-0.0,1.0,1.5,4.0,2.5\r\n" in trace_csv
-        assert snaps_csv.endswith(b"\r\n-0.0,\r\n0.5,0.25\r\n1.0,0.0;0.25;0.5\r\n2.5,-0.0;0.25\r\n")
+        assert snaps_csv.endswith(b"\r\n0.0,\r\n1.0,0.25\r\n2.0,-0.0;0.25\r\n")
+        # Plain snapshots may hold times of no arrival and levels of no customer.
+        snaps = (
+            Snapshot(-0.0, ()),
+            Snapshot(0.5, (0.25,)),
+            Snapshot(1.0, (0.0, 0.25, 0.5)),
+            Snapshot(2.5, (-0.0, 0.25)),
+        )
+        write_snapshots_csv(snaps, tmp_path / "plain.csv")
+        plain = (tmp_path / "plain.csv").read_bytes()
+        assert plain == _csv_module_snapshots(snaps)
+        assert plain.endswith(b"\r\n-0.0,\r\n0.5,0.25\r\n1.0,0.0;0.25;0.5\r\n2.5,-0.0;0.25\r\n")
 
 
 def test_single_server_mean_population_is_plausible() -> None:

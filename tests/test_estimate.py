@@ -42,7 +42,7 @@ def record(
 def hand_trace(priority, arrival, departure) -> SimTrace:
     """A trace with the given columns; every customer is served from arrival to departure."""
     served = tuple(None if d is None else d - a for a, d in zip(arrival, departure))
-    return SimTrace(tuple(priority), tuple(arrival), tuple(arrival), tuple(departure), served, ())
+    return SimTrace(tuple(priority), tuple(arrival), tuple(arrival), tuple(departure), served)
 
 
 def swept_counts(trace: SimTrace, grid: BinGrid, start_time: float) -> tuple[int, list[int]]:
@@ -208,10 +208,24 @@ class TestDensityEstimation:
             Snapshot(3.0, (0.1, 0.6)),
             Snapshot(4.0, (0.1, 0.3)),
         ]
+        assert trace.snapshots == tuple(snaps)
         offline = DensityAccumulator(grid, start_time=2.0).add_snapshots(snaps)
         assert offline.snapshot_count == 3
         assert offline.curve().values == acc.curve().values
         assert swept_counts(trace, grid, 2.0) == (3, [4, 2])
+
+    @pytest.mark.parametrize("simulator", [simulate, reference_simulate])
+    @pytest.mark.parametrize("start_time", [0.0, 30.0])
+    def test_trace_and_its_snapshots_give_identical_sums(self, simulator, start_time) -> None:
+        # Levels -0.0 and 0.0 share the lowest bin; both reductions put them there.
+        quantile = lambda u: -0.0 if u < 0.3 else (0.0 if u < 0.6 else u)  # noqa: E731
+        trace = simulator(SimConfig(SystemParams(3.0, 2), 120.0, 4, priority_quantile=quantile))
+        assert {repr(p) for p in trace.priority} >= {"-0.0", "0.0"}
+        columns = DensityAccumulator(GRID20, start_time).add_trace(trace)
+        stored = DensityAccumulator(GRID20, start_time).add_snapshots(trace.snapshots)
+        assert columns.snapshot_count == stored.snapshot_count > 0
+        assert columns._sums.tobytes() == stored._sums.tobytes()
+        assert columns.curve().values == stored.curve().values
 
     def test_empty_trace_adds_nothing(self) -> None:
         acc = DensityAccumulator(GRID20).add_snapshots([Snapshot(0.0, (0.3, 0.9))])

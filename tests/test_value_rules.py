@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uniprio.analytics import SystemParams, mean_measure, p0_mass, tail_pmf
+from uniprio.analytics import SystemParams, is_stable, mean_measure, p0_mass, tail_pmf
 from uniprio.cli import _DEFAULTS, ExperimentConfig, build_config
 from uniprio.des import SimConfig
 from uniprio.estimate import BinGrid, DensityAccumulator, RecordBinStats
@@ -65,6 +65,8 @@ REAL_SITES = [
     pytest.param("delta", lambda v: BinGrid(v).delta, id="BinGrid.delta"),
     pytest.param("priority level", lambda v: p0_mass(PARAMS, v), id="p0_mass.p"),
     pytest.param("priority level", lambda v: mean_measure(PARAMS, v, 1.0), id="mean_measure.a"),
+    pytest.param("priority level", lambda v: is_stable(PARAMS, v), id="is_stable.p"),
+    pytest.param("priority level", lambda v: GRID.index_of(v), id="BinGrid.index_of"),
     pytest.param(
         "start_time", lambda v: DensityAccumulator(GRID, v).start_time, id="DensityAccumulator.start_time"
     ),
