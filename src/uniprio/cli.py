@@ -61,19 +61,22 @@ PRESETS: dict[str, dict] = {
     "unstable-paper": {"alpha": 5.0, "servers": 2, "delta": 0.05, "horizon": 2000.0},
 }
 
-_DEFAULTS: dict = {
-    "alpha": 1.5,
-    "servers": 2,
-    "horizon": 2000.0,
-    "delta": 0.05,
-    "seed": 1,
-    "replications": 1,
-    "policy": "infinite",
-    "warmup": 0.0,
-    "resolution": 201,
-    "workers": 1,
-    "out": "uniprio-out",
+# Each setting that a flag or a config file can give, in flag order: default, kind, help.
+_SETTINGS: dict[str, tuple[object, type, str]] = {
+    "alpha": (1.5, float, "arrival rate"),
+    "servers": (2, int, "number of unit-rate servers"),
+    "horizon": (2000.0, float, "simulated time span"),
+    "delta": (0.05, float, "bin width, a reciprocal integer"),
+    "seed": (1, int, "base seed; replication r adds r"),
+    "replications": (1, int, "independent runs to pool"),
+    "policy": ("infinite", CensoredPolicy, "censored-customer policy"),
+    "warmup": (0.0, float, "fraction of the horizon to discard"),
+    "resolution": (201, int, "points for the analytic curve files"),
+    "workers": (1, int, "parallel replication processes"),
+    "out": ("uniprio-out", Path, "output directory"),
 }
+_DEFAULTS: dict = {key: default for key, (default, _, _) in _SETTINGS.items()}
+_POLICIES = [policy.value for policy in CensoredPolicy]
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,11 @@ class ExperimentConfig:
             raise ValueError(f"curve_resolution must be at least 2, got {self.curve_resolution}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+
+    @property
+    def start_time(self) -> float:
+        """End of the warm-up: every reduction of the run counts from here on."""
+        return self.warmup_fraction * self.horizon
 
 
 def _json_value(v: ExtendedReal | None):
@@ -182,16 +190,17 @@ def replication_seed(base_seed: int, replication: int) -> int:
     return base_seed + replication
 
 
-def _replicate(config: ExperimentConfig, r: int) -> tuple[DensityAccumulator, RecordBinStats]:
-    """Simulate, write and reduce replication ``r``; its trace never leaves this call."""
-    out = config.output_dir
-    start_time = config.warmup_fraction * config.horizon
+def _replicate(config: ExperimentConfig, r: int) -> tuple[dict, DensityAccumulator, RecordBinStats]:
+    """Replication ``r``'s files, by artifact name, and reductions; its trace never leaves this call."""
     trace = simulate(SimConfig(config.params, config.horizon, replication_seed(config.seed, r)))
-    write_trace_csv(trace, out / f"trace_rep{r:03d}.csv")
-    write_snapshots_csv(trace, out / f"snapshots_rep{r:03d}.csv")
-    density = DensityAccumulator(config.grid, start_time).add_snapshots(trace.snapshots)
-    delays = RecordBinStats(config.grid).add(trace, start_time)
-    return density, delays
+    files: dict[str, Path] = {}
+    for kind, write in (("trace", write_trace_csv), ("snapshots", write_snapshots_csv)):
+        name = f"{kind}_rep{r:03d}"
+        files[name] = config.output_dir / f"{name}.csv"
+        write(trace, files[name])
+    density = DensityAccumulator(config.grid, config.start_time).add_snapshots(trace.snapshots)
+    delays = RecordBinStats(config.grid).add(trace, config.start_time)
+    return files, density, delays
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -212,7 +221,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     out.mkdir(parents=True, exist_ok=True)
     params = config.params
 
-    density = DensityAccumulator(config.grid, config.warmup_fraction * config.horizon)
+    density = DensityAccumulator(config.grid, config.start_time)
     delays = RecordBinStats(config.grid)
     artifacts: dict[str, Path] = {}
 
@@ -222,9 +231,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         replicate = map if pool is None else pool.map
         results = replicate(_replicate, repeat(config), range(config.replications))
-        for r, (rep_density, rep_delays) in enumerate(results):
-            for kind in ("trace", "snapshots"):
-                artifacts[f"{kind}_rep{r:03d}"] = out / f"{kind}_rep{r:03d}.csv"
+        for files, rep_density, rep_delays in results:
+            artifacts.update(files)
             density.merge(rep_density)
             delays.merge(rep_delays)
 
@@ -298,17 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, help="JSON file with the keys the flags set")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named parameter bundle")
-    parser.add_argument("--alpha", type=float, help="arrival rate")
-    parser.add_argument("--servers", type=int, help="number of unit-rate servers")
-    parser.add_argument("--horizon", type=float, help="simulated time span")
-    parser.add_argument("--delta", type=float, help="bin width, a reciprocal integer")
-    parser.add_argument("--seed", type=int, help="base seed; replication r adds r")
-    parser.add_argument("--replications", type=int, help="independent runs to pool")
-    parser.add_argument("--policy", choices=["infinite", "exclude"], help="censored-customer policy")
-    parser.add_argument("--warmup", type=float, help="fraction of the horizon to discard")
-    parser.add_argument("--resolution", type=int, help="points for the analytic curve files")
-    parser.add_argument("--workers", type=int, help="parallel replication processes")
-    parser.add_argument("--out", type=Path, help="output directory")
+    for key, (_, kind, text) in _SETTINGS.items():
+        parse = {"choices": _POLICIES} if kind is CensoredPolicy else {"type": kind}
+        parser.add_argument(f"--{key}", **parse, help=text)
     return parser
 
 
@@ -320,47 +320,43 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValueError(f"config file must hold a JSON object, got {type(loaded).__name__}")
-        unknown = set(loaded) - set(_DEFAULTS)
+        unknown = set(loaded) - set(_SETTINGS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         settings.update(loaded)
     if args.preset is not None:
         settings.update(PRESETS[args.preset])
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+    settings.update({k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None})
     return settings
 
 
-def _integer(settings: Mapping, key: str) -> int:
+def _whole(key: str, value) -> int:
     # JSON may spell 2 as 2.0; 2.7, true and "2" are refused rather than truncated.
-    value = settings[key]
-    if type(value) is float and value.is_integer():
-        value = int(value)
-    return _as_int(key, value)
+    return _as_int(key, int(value) if type(value) is float and value.is_integer() else value)
 
 
-def _path(settings: Mapping, key: str) -> Path:
+def _directory(key: str, value) -> Path:
     # A flag gives a Path and a config file a string; 5 and null are refused.
-    value = settings[key]
     if not isinstance(value, (str, Path)):
         raise ValueError(f"{key} must be a path string, got {value!r}")
     return Path(value)
 
 
+def _policy(key: str, value) -> CensoredPolicy:
+    if value not in _POLICIES:
+        raise ValueError(f"{key} must be one of {_POLICIES}, got {value!r}")
+    return CensoredPolicy(value)
+
+
 def build_config(settings: Mapping) -> ExperimentConfig:
+    # One rule per kind of setting, whether a flag or a config file gave it.
+    convert = {float: _as_real, int: _whole, Path: _directory, CensoredPolicy: _policy}
+    s = {key: convert[kind](key, settings[key]) for key, (_, kind, _) in _SETTINGS.items()}
     return ExperimentConfig(
-        params=SystemParams(_as_real("alpha", settings["alpha"]), _integer(settings, "servers")),
-        horizon=_as_real("horizon", settings["horizon"]),
-        delta=_as_real("delta", settings["delta"]),
-        seed=_integer(settings, "seed"),
-        output_dir=_path(settings, "out"),
-        replications=_integer(settings, "replications"),
-        censored_policy=CensoredPolicy(settings["policy"]),
-        warmup_fraction=_as_real("warmup", settings["warmup"]),
-        curve_resolution=_integer(settings, "resolution"),
-        workers=_integer(settings, "workers"),
+        params=SystemParams(s["alpha"], s["servers"]), horizon=s["horizon"], delta=s["delta"],
+        seed=s["seed"], output_dir=s["out"], replications=s["replications"],
+        censored_policy=s["policy"], warmup_fraction=s["warmup"],
+        curve_resolution=s["resolution"], workers=s["workers"],
     )
 
 

@@ -14,6 +14,7 @@ customer makes its bin infinite), the Exclude policy drops them.
 from __future__ import annotations
 
 import csv
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -91,9 +92,16 @@ class BinGrid:
         i = int(_check_level(p) * n)
         return i if i < n else n - 1
 
-    def indices(self, levels: Iterable[float] | np.ndarray) -> np.ndarray:
-        """:meth:`index_of` over an array of priorities, with the same range check."""
-        q = np.asarray(levels, dtype=np.float64)
+    def indices(self, levels: Sequence[float] | np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`index_of` of each level, or of each one the boolean mask ``kept`` selects."""
+        at = np.arange(len(levels)) if kept is None else np.flatnonzero(kept)
+        try:  # a buffer of doubles takes no string or None
+            q = np.frombuffer(array("d", levels))[at]
+        except TypeError:
+            q = np.array([_as_real("priority level", levels[i]) for i in at.tolist()], dtype=np.float64)
+        # A float holds a bool as 0 or 1, so the entries that read so meet the level rule again.
+        for i in at[(q == 0.0) | (q == 1.0)].tolist():
+            _as_real("priority level", levels[i])
         outside = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both comparisons
         if outside.size:
             raise ValueError(f"priority {outside[0]} outside [0, 1] fits no bin")
@@ -153,7 +161,7 @@ class DensityAccumulator:
 
         Customer ``i`` counts in snapshots ``i + 1`` to ``hi - 1`` (``hi`` from
         ``SimTrace._snapshot_ends``) from the first at or after ``start_time``
-        on. A level outside [0, 1] (or NaN) raises ValueError and adds nothing.
+        on. A level that is not a number in [0, 1] raises ValueError and adds nothing.
         """
         bins = self.grid.indices(trace.priority)
         n = len(trace)
@@ -165,28 +173,23 @@ class DensityAccumulator:
         return self
 
     def add_snapshots(self, snapshots: Iterable[Snapshot]) -> "DensityAccumulator":
-        """Add stored snapshots, in blocks of about ``_BLOCK`` entries.
+        """Add stored snapshots, binned in blocks of about ``_BLOCK`` entries and added at the end.
 
-        A level outside [0, 1] raises ValueError; the blocks before the one
-        holding it stay added, snapshot count and sums alike.
+        A level that is not a number in [0, 1] raises ValueError and adds nothing.
         """
-        block: list[float] = []
-        count = 0
+        sums, block, count = np.zeros(self.grid.n_bins), [], 0
         for time, priorities in snapshots:
             if time < self.start_time:
                 continue
             block.extend(priorities)
             count += 1
             if len(block) >= _BLOCK:
-                self._add_block(block, count)
-                block, count = [], 0
-        self._add_block(block, count)
+                sums += np.bincount(self.grid.indices(block), minlength=self.grid.n_bins)
+                block = []
+        sums += np.bincount(self.grid.indices(block), minlength=self.grid.n_bins)
+        self._sums += sums
+        self._snapshots += count
         return self
-
-    def _add_block(self, block: list[float], snapshots: int) -> None:
-        """Bin ``block``, the levels of ``snapshots`` snapshots."""
-        self._sums += np.bincount(self.grid.indices(block), minlength=self.grid.n_bins)
-        self._snapshots += snapshots
 
     @property
     def snapshot_count(self) -> int:
@@ -240,8 +243,8 @@ class RecordBinStats:
 
         A trace hands over its columns; records are transposed into the same
         columns. Every customer to be tallied is checked first, and a fault
-        raises ValueError and changes no tally: first any priority outside
-        [0, 1] (or NaN), then any departed customer without a service entry
+        raises ValueError and changes no tally: first any priority that is not
+        a number in [0, 1], then any departed customer without a service entry
         or a service time.
 
         Each tally is one ``np.bincount``, which adds in input order, so one
@@ -256,7 +259,7 @@ class RecordBinStats:
         ids, priority, arrival, entered, departure, served = columns
         a = np.array(arrival, dtype=np.float64)
         kept = ~(a < start_time)
-        bins = self.grid.indices(np.array(priority, dtype=np.float64)[kept])
+        bins = self.grid.indices(priority, kept)
         done = ~_is_none(departure)
         no_entry = done & _is_none(entered)
         no_time = done & _is_none(served)

@@ -17,8 +17,12 @@ import pytest
 import uniprio
 from uniprio.analytics import INFINITY, ExtendedReal, SystemParams, priority_density
 from uniprio.cli import (
+    _DEFAULTS,
+    _SETTINGS,
     ExperimentConfig,
     PRESETS,
+    _build_parser,
+    _resolve_settings,
     build_config,
     compare_curves,
     main,
@@ -242,6 +246,50 @@ class TestRunExperiment:
         warm = run_experiment(tiny_config(tmp_path / "warm", warmup_fraction=0.5))
         assert warm.summary["totals"]["snapshots"] < cold.summary["totals"]["snapshots"]
         assert warm.summary["totals"]["departed"] < cold.summary["totals"]["departed"]
+
+
+def config_of(argv: list[str]) -> ExperimentConfig:
+    """The config that ``uniprio`` would run for ``argv``."""
+    return build_config(_resolve_settings(_build_parser().parse_args(argv)))
+
+
+class TestSettingsTable:
+    # A valid value other than the default for every setting.
+    OTHER = {
+        "alpha": 0.5, "servers": 3, "horizon": 10.0, "delta": 0.25, "seed": 7, "replications": 2,
+        "policy": "exclude", "warmup": 0.5, "resolution": 11, "workers": 2, "out": "elsewhere",
+    }
+
+    def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path) -> None:
+        assert set(self.OTHER) == set(_SETTINGS)
+        for key, value in self.OTHER.items():
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({key: value}))
+            from_flag = config_of([f"--{key}", str(value)])
+            assert from_flag == config_of(["--config", str(path)]) != config_of([])
+
+    def test_config_file_of_every_default_changes_nothing(self, tmp_path) -> None:
+        path = tmp_path / "defaults.json"
+        path.write_text(json.dumps(_DEFAULTS))
+        assert config_of(["--config", str(path)]) == config_of([]) == build_config(_DEFAULTS)
+
+    def test_defaults_agree_with_experiment_config(self) -> None:
+        fields = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        config = build_config(_DEFAULTS)
+        for name in ("replications", "censored_policy", "warmup_fraction", "curve_resolution", "workers"):
+            assert getattr(config, name) == fields[name]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_recorded_artifacts_are_the_files_written(self, tmp_path, workers) -> None:
+        result = run_experiment(tiny_config(tmp_path / "out", workers=workers))
+        assert {path.parent for path in result.artifacts.values()} == {result.output_dir}
+        names = sorted(path.name for path in result.artifacts.values())
+        assert names == sorted(path.name for path in result.output_dir.iterdir())
+        assert len(names) == len(result.artifacts) == 11
+
+    def test_policy_error_names_the_key(self) -> None:
+        with pytest.raises(ValueError, match="policy must be one of"):
+            build_config({**_DEFAULTS, "policy": "never"})
 
 
 class TestCompareCurves:

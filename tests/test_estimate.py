@@ -142,6 +142,29 @@ class TestBinGrid:
             with pytest.raises(ValueError, match=f"priority {bad} outside"):
                 GRID20.indices([0.5, bad])
 
+    @pytest.mark.parametrize("bad", [False, True, np.True_, "0.5", None])
+    def test_indices_refuse_levels_that_are_not_numbers(self, bad) -> None:
+        with pytest.raises(ValueError, match="priority level must be a number"):
+            GRID20.indices([0.5, bad, 0.25])
+
+    def test_indices_check_only_the_masked_levels(self) -> None:
+        kept = np.array([False, True, True, False])
+        assert GRID20.indices((True, 0.5, 0.0, "x"), kept).tolist() == [10, 0]
+        assert GRID20.indices((True, 0.5, 0.0, 1), kept).tolist() == [10, 0]
+        # A bool is found at its own position, past the entries the mask drops.
+        with pytest.raises(ValueError, match="got False"):
+            GRID20.indices((True, 0.5, False, 0.25), kept)
+        with pytest.raises(ValueError, match="priority level must be a number"):
+            GRID20.indices(np.array([False, True]), np.array([False, True]))
+
+    def test_reductions_check_only_the_levels_they_tally(self) -> None:
+        early = Snapshot(0.0, (True,)), Snapshot(2.0, (0.5,))
+        assert DensityAccumulator(GRID20, 1.0).add_snapshots(early).snapshot_count == 1
+        records = [record(0, True, 0.0, 0.0, 1.0, 1.0), record(1, 0.5, 2.0, 2.0, 3.0, 1.0)]
+        assert RecordBinStats(GRID20).add(records, 1.0).departed_total == 1
+        with pytest.raises(ValueError, match="priority level must be a number"):
+            RecordBinStats(GRID20).add(records)
+
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_index_is_monotone(self, p: float, q: float) -> None:
@@ -326,10 +349,10 @@ class TestDensityEstimation:
         acc = DensityAccumulator(GRID20)
         with pytest.raises(ValueError, match="outside"):
             acc.add_snapshots(snaps)
-        # The full first block stays added; nothing of the failing one does.
-        assert acc.snapshot_count == 1
-        assert acc.curve().values[GRID20.index_of(0.5)] == ExtendedReal(20.0 * _BLOCK)
-        assert sum(v.finite for v in acc.curve().values) == 20.0 * _BLOCK
+        # Nothing is added, not even the full first block.
+        assert acc.snapshot_count == 0
+        fresh = DensityAccumulator(GRID20).add_snapshots(snaps[:1])
+        assert acc.add_snapshots(snaps[:1]).curve() == fresh.curve()
 
 
 class TestStreamingObserver:

@@ -15,7 +15,7 @@ import pytest
 
 from uniprio.analytics import SystemParams, is_stable, mean_measure, p0_mass, tail_pmf
 from uniprio.cli import _DEFAULTS, ExperimentConfig, build_config
-from uniprio.des import SimConfig
+from uniprio.des import SimConfig, SimTrace, Snapshot
 from uniprio.estimate import BinGrid, DensityAccumulator, RecordBinStats
 
 PARAMS = SystemParams(1.5, 2)
@@ -26,6 +26,11 @@ def experiment(name: str):
     """The site of ``ExperimentConfig``'s field ``name``."""
     base = dict(params=PARAMS, horizon=10.0, delta=0.5, seed=1, output_dir=Path("unused"))
     return lambda v: getattr(ExperimentConfig(**{**base, name: v}), name)
+
+
+def two_customers(level) -> SimTrace:
+    """A trace whose second customer has priority ``level``."""
+    return SimTrace((0.25, level), (0.0, 1.0), (0.0, 1.0), (2.0, 3.0), (2.0, 2.0))
 
 
 def setting(key: str, field: str):
@@ -67,6 +72,23 @@ REAL_SITES = [
     pytest.param("priority level", lambda v: mean_measure(PARAMS, v, 1.0), id="mean_measure.a"),
     pytest.param("priority level", lambda v: is_stable(PARAMS, v), id="is_stable.p"),
     pytest.param("priority level", lambda v: GRID.index_of(v), id="BinGrid.index_of"),
+    # The array sites: a bool among numbers reads as 0 or 1, a string or None changes the dtype.
+    pytest.param("priority level", lambda v: GRID.indices([0.25, v]).tolist(), id="BinGrid.indices"),
+    pytest.param(
+        "priority level",
+        lambda v: DensityAccumulator(GRID).add_trace(two_customers(v)).curve(),
+        id="DensityAccumulator.add_trace",
+    ),
+    pytest.param(
+        "priority level",
+        lambda v: DensityAccumulator(GRID).add_snapshots([Snapshot(0.0, (0.25, v))]).curve(),
+        id="DensityAccumulator.add_snapshots",
+    ),
+    pytest.param(
+        "priority level",
+        lambda v: RecordBinStats(GRID).add(two_customers(v)).sojourn_curve(),
+        id="RecordBinStats.add.level",
+    ),
     pytest.param(
         "start_time", lambda v: DensityAccumulator(GRID, v).start_time, id="DensityAccumulator.start_time"
     ),
