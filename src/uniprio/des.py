@@ -133,23 +133,38 @@ class SimConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
     """Everything one run produced; immutable after construction.
 
-    Customers are held as columns indexed by customer id, one per
-    :class:`CustomerRecord` field after ``customer_id``: ``service_time`` is
-    None exactly where ``departure_time`` is. :attr:`records` builds the
-    records on first access; ``len(trace)`` counts customers without them.
-    The run's counts, :attr:`final_population` and :attr:`event_count`, and
-    its per-arrival :attr:`snapshots` are derived from the columns.
+    Customers are held as read-only float64 columns indexed by customer id,
+    one per :class:`CustomerRecord` field after ``customer_id``, with NaN for
+    a missing time (``service_time`` is NaN exactly where ``departure_time``
+    is). Other columns are read once through the real rule, None as NaN in the
+    last three only; level ranges are checked when binning. :attr:`records`
+    (None for a missing time) and :attr:`snapshots` are built on first read;
+    ``len(trace)``, :attr:`final_population` and :attr:`event_count` need neither.
+
+    >>> trace = SimTrace((0.5,), (1.0,), (None,), (None,), (None,))
+    >>> trace.final_population, trace.records[0].departure_time is None
+    (1, True)
     """
 
-    priority: tuple[float, ...]
-    arrival_time: tuple[float, ...]
-    last_service_entry: tuple[float | None, ...]
-    departure_time: tuple[float | None, ...]
-    service_time: tuple[float | None, ...]
+    priority: np.ndarray
+    arrival_time: np.ndarray
+    last_service_entry: np.ndarray
+    departure_time: np.ndarray
+    service_time: np.ndarray
+
+    def __post_init__(self) -> None:
+        for k, name in enumerate(CustomerRecord._fields[1:]):
+            values = getattr(self, name)
+            if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
+                rule = "priority level" if k == 0 else name
+                values = [math.nan if x is None and k > 1 else _as_real(rule, x) for x in values]
+            column = np.array(values, dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.arrival_time)
@@ -157,54 +172,43 @@ class SimTrace:
     @property
     def final_population(self) -> int:
         """Customers in system when the horizon cut the run off: the censored ones."""
-        return self.departure_time.count(None)
+        return int(np.isnan(self.departure_time).sum())
 
     @property
     def event_count(self) -> int:
         """Events processed: one arrival per customer plus one departure per departed one."""
         return 2 * len(self) - self.final_population
 
-    @property
-    def columns(self) -> tuple[Sequence, ...]:
-        """The record fields as columns, customer ids first, so that
-        ``zip(*trace.columns)`` yields the records' tuples and
-        ``zip(*trace.records)`` yields the columns."""
-        return (
-            range(len(self)),
-            self.priority,
-            self.arrival_time,
-            self.last_service_entry,
-            self.departure_time,
-            self.service_time,
-        )
-
     @classmethod
     def _of_run(cls, config: SimConfig, priority, arrival, entered, departed, served) -> SimTrace:
         """A run's trace from its lists; ``served`` is ``service_time`` where ``departed`` is set."""
-        service = (None if d is None else s for d, s in zip(departed, served))
-        trace = cls(*map(tuple, (priority, arrival, entered, departed, service)))
+        columns = [np.array(c, dtype=np.float64) for c in (priority, arrival, entered, departed, served)]
+        columns[4][np.isnan(columns[3])] = np.nan
+        trace = cls(*columns)
         if not config.record_snapshots:
             vars(trace)["snapshots"] = ()
         return trace
 
     @cached_property
     def records(self) -> tuple[CustomerRecord, ...]:
-        return tuple(map(CustomerRecord._make, zip(*self.columns)))
+        times = (self.last_service_entry, self.departure_time, self.service_time)
+        optional = ([None if x != x else x for x in column.tolist()] for column in times)
+        columns = range(len(self)), self._levels, self.arrival_time.tolist(), *optional
+        return tuple(map(CustomerRecord._make, zip(*columns)))
 
     def _snapshot_ends(self) -> np.ndarray:
         """Per customer ``i``, the end ``hi`` of the snapshots ``i + 1 .. hi - 1`` it is in.
 
         Snapshot ``j`` is taken at arrival ``j``, before it joins, so ``hi`` counts the
         arrivals at or before ``i``'s departure (served first on a tie), or all of them
-        if ``i`` is censored: its None reads as NaN, which sorts after every arrival.
+        if ``i`` is censored: its NaN sorts after every arrival.
         """
-        arrival = np.array(self.arrival_time, dtype=np.float64)
-        return np.searchsorted(arrival, np.array(self.departure_time, dtype=np.float64), "right")
+        return np.searchsorted(self.arrival_time, self.departure_time, "right")
 
     @cached_property
     def snapshots(self) -> tuple[Snapshot, ...]:
         """Every arrival's snapshot, built on first read: levels ascending, equal ones by arrival."""
-        priority = self.priority
+        priority = self._levels
         ends = self._snapshot_ends()
         # Customers in the order they leave, and how many have left before each snapshot.
         leavers = np.argsort(ends, kind="stable").tolist()
@@ -226,7 +230,12 @@ class SimTrace:
             present.insert(at, display)
             ids.insert(at, j)
         # Snapshot._make without a Python call per snapshot.
-        return tuple(map(tuple.__new__, repeat(Snapshot), zip(self.arrival_time, views)))
+        return tuple(map(tuple.__new__, repeat(Snapshot), zip(self.arrival_time.tolist(), views)))
+
+    @cached_property
+    def _levels(self) -> list[float]:
+        """The levels as the floats the snapshots hold, so text lookups keyed by them match by identity."""
+        return self.priority.tolist()
 
     # Cell texts of the two columns that both the trace and the snapshot file
     # print, formatted on first use.
@@ -353,48 +362,50 @@ def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> S
 # ---------------------------------------------------------------------------
 # CSV export and import
 
-# Entry types whose repr is already the cell text.
-_PLAIN = {float, type(None)}
 
+def _cells(column: Sequence[float | None] | np.ndarray) -> tuple[str, ...]:
+    """CSV cell text of each entry: ``repr(float(x))``, or empty for None or NaN.
 
-def _cells(column: Iterable[float | None]) -> tuple[str, ...]:
-    """CSV cell text of each entry: ``repr(float(x))``, or empty for None.
-
-    One C-level ``repr`` of the whole list, split at its separators: no float
-    repr holds ``", "`` or ``"None"``. Entries that are not floats (a numpy
-    float, whose repr names its type, or an integer) are converted first.
+    The column is read once as float64, where None reads as NaN, and the one
+    C-level ``repr`` of its list is split at the separators: no float repr
+    holds ``", "``, and none but NaN's holds ``"nan"``.
     """
-    values = list(column)
-    if not {*map(type, values)} <= _PLAIN:
-        values = [None if x is None else float(x) for x in values]
+    values = np.asarray(column, dtype=np.float64).tolist()
     if not values:
         return ()
-    return tuple(repr(values)[1:-1].replace("None", "").split(", "))
+    return tuple(repr(values)[1:-1].replace("nan", "").split(", "))
 
 
 class _ReprCache(dict):
     """Cell text per value, as :func:`_cells` writes it, each formatted once.
 
-    It starts from ``(values, texts)`` pairs already formatted and formats
+    It starts from ``values`` already formatted as ``texts`` and formats
     only the values it was not given. Zeros are never stored: ``0.0 == -0.0``
-    would share one key, but their texts differ.
+    would share one key, but their texts differ. NaN equals no key, so it
+    is formatted at each lookup.
     """
 
-    def __init__(self, *known: tuple[Sequence[float | None], Sequence[str]]) -> None:
-        super().__init__()
-        for values, texts in known:
-            self.update(zip(values, texts))
+    def __init__(self, values: Sequence[float] = (), texts: Sequence[str] = ()) -> None:
+        super().__init__(zip(values, texts))
         self.pop(0.0, None)
 
-    def __missing__(self, value: float | None) -> str:
-        text = "" if value is None else repr(float(value))
-        if value:
+    def __missing__(self, value: float) -> str:
+        text = repr(float(value)).replace("nan", "")
+        if abs(value) > 0.0:  # neither a zero nor NaN
             self[value] = text
         return text
 
 
+def _transposed(trace_or_records: SimTrace | Iterable[CustomerRecord]) -> tuple[Sequence[int], SimTrace]:
+    """The customer ids and the trace; records are made a trace, and their ids kept for messages."""
+    if isinstance(trace_or_records, SimTrace):
+        return range(len(trace_or_records)), trace_or_records
+    ids, *fields = tuple(zip(*trace_or_records)) or ((),) * 6  # no record gives six empty columns
+    return ids, SimTrace(*fields)
+
+
 def write_trace_csv(trace_or_records: SimTrace | Iterable[CustomerRecord], path) -> None:
-    """Write a trace's customers, or records, one row each; empty cells mark missing times.
+    """Write a trace's customers, or records made a trace, one row each; empty cells mark missing times.
 
     Each real prints as ``repr(float(x))``, so numpy floats print as Python
     floats do. Each column is formatted once. A trace's priority and
@@ -404,19 +415,15 @@ def write_trace_csv(trace_or_records: SimTrace | Iterable[CustomerRecord], path)
     directly in ``csv.writer``'s excel dialect: no cell (an integer, a float
     repr or empty) ever needs quoting.
     """
-    if isinstance(trace_or_records, SimTrace):
-        trace = trace_or_records
-        ids: Iterable[int] = range(len(trace))
-    else:  # no record gives six empty columns
-        ids, *fields = tuple(zip(*trace_or_records)) or ((),) * 6
-        trace = SimTrace(*fields)
+    ids, trace = _transposed(trace_or_records)
     departure = _cells(trace.departure_time)
-    entry = _ReprCache((trace.arrival_time, trace._arrival_texts), (trace.departure_time, departure))
+    times = trace.arrival_time.tolist() + trace.departure_time.tolist()
+    entry = _ReprCache(times, trace._arrival_texts + departure)
     rows = zip(
         ids,
         trace._priority_texts,
         trace._arrival_texts,
-        map(entry.__getitem__, trace.last_service_entry),
+        map(entry.__getitem__, trace.last_service_entry.tolist()),
         departure,
         _cells(trace.service_time),
     )
@@ -457,7 +464,7 @@ def write_snapshots_csv(trace_or_snapshots: SimTrace | Iterable[Snapshot], path)
     """
     if isinstance(trace_or_snapshots, SimTrace) and trace_or_snapshots.snapshots:
         trace = trace_or_snapshots
-        levels = _ReprCache((trace.priority, trace._priority_texts))
+        levels = _ReprCache(trace._levels, trace._priority_texts)
         rows = zip(trace._arrival_texts, (priorities for _, priorities in trace.snapshots))
     else:  # a trace without snapshots formats nothing for its header-only file
         snapshots = () if isinstance(trace_or_snapshots, SimTrace) else trace_or_snapshots

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -24,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import INFINITY, ExtendedReal, _as_real, _check_level
-from .des import CustomerRecord, SimTrace, Snapshot, _cells, _real
+from .des import CustomerRecord, SimTrace, Snapshot, _cells, _real, _transposed
 
 __all__ = [
     "BinGrid",
@@ -95,13 +94,16 @@ class BinGrid:
     def indices(self, levels: Sequence[float] | np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
         """:meth:`index_of` of each level, or of each one the boolean mask ``kept`` selects."""
         at = np.arange(len(levels)) if kept is None else np.flatnonzero(kept)
-        try:  # a buffer of doubles takes no string or None
-            q = np.frombuffer(array("d", levels))[at]
-        except TypeError:
-            q = np.array([_as_real("priority level", levels[i]) for i in at.tolist()], dtype=np.float64)
-        # A float holds a bool as 0 or 1, so the entries that read so meet the level rule again.
-        for i in at[(q == 0.0) | (q == 1.0)].tolist():
-            _as_real("priority level", levels[i])
+        if isinstance(levels, np.ndarray) and levels.dtype == np.float64:  # such as a trace's column
+            q = levels[at]
+        else:
+            try:  # a buffer of doubles takes no string or None
+                q = np.frombuffer(array("d", levels))[at]
+            except TypeError:
+                q = np.array([_as_real("priority level", levels[i]) for i in at.tolist()], dtype=np.float64)
+            # A float holds a bool as 0 or 1, so the entries that read so meet the level rule again.
+            for i in at[(q == 0.0) | (q == 1.0)].tolist():
+                _as_real("priority level", levels[i])
         outside = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both comparisons
         if outside.size:
             raise ValueError(f"priority {outside[0]} outside [0, 1] fits no bin")
@@ -165,7 +167,7 @@ class DensityAccumulator:
         """
         bins = self.grid.indices(trace.priority)
         n = len(trace)
-        first = bisect_left(trace.arrival_time, self.start_time)
+        first = int(np.searchsorted(trace.arrival_time, self.start_time))
         lo = np.maximum(np.arange(1, n + 1), first)
         seen = np.maximum(trace._snapshot_ends() - lo, 0)
         self._sums += np.bincount(bins, weights=seen, minlength=self.grid.n_bins)
@@ -215,11 +217,6 @@ class DensityAccumulator:
         return CurveEstimate(self.grid, values)
 
 
-def _is_none(column: Iterable[float | None]) -> np.ndarray:
-    """Mask of the None entries of ``column``."""
-    return np.equal(np.array(column, dtype=object), None)
-
-
 class RecordBinStats:
     """Mergeable per-bin delay tallies over customers.
 
@@ -241,28 +238,23 @@ class RecordBinStats:
     ) -> "RecordBinStats":
         """Tally customers whose arrival is at or after ``start_time``.
 
-        A trace hands over its columns; records are transposed into the same
-        columns. Every customer to be tallied is checked first, and a fault
-        raises ValueError and changes no tally: first any priority that is not
-        a number in [0, 1], then any departed customer without a service entry
-        or a service time.
+        A trace hands over its columns; records are made a trace first, which
+        refuses a field that is not a number, whatever its arrival. Every
+        customer to be tallied is then checked, and a fault raises ValueError
+        and changes no tally: first any priority outside [0, 1], then any
+        departed customer without a service entry or a service time.
 
         Each tally is one ``np.bincount``, which adds in input order, so one
         call on a fresh instance sums exactly as a loop over the customers
         would. Further calls add their per-call sums, as :meth:`merge` would.
         """
         start_time = _start_time(start_time)
-        if isinstance(trace_or_records, SimTrace):
-            columns = trace_or_records.columns
-        else:  # no record gives six empty columns
-            columns = tuple(zip(*trace_or_records)) or ((),) * 6
-        ids, priority, arrival, entered, departure, served = columns
-        a = np.array(arrival, dtype=np.float64)
-        kept = ~(a < start_time)
-        bins = self.grid.indices(priority, kept)
-        done = ~_is_none(departure)
-        no_entry = done & _is_none(entered)
-        no_time = done & _is_none(served)
+        ids, trace = _transposed(trace_or_records)
+        kept = ~(trace.arrival_time < start_time)
+        bins = self.grid.indices(trace.priority, kept)
+        done = ~np.isnan(trace.departure_time)
+        no_entry = done & np.isnan(trace.last_service_entry)
+        no_time = done & np.isnan(trace.service_time)
         bad = np.flatnonzero(kept & (no_entry | no_time))
         if bad.size:
             i = bad[0]
@@ -271,8 +263,8 @@ class RecordBinStats:
 
         n = self.grid.n_bins
         finished = kept & done
-        sojourn = np.array(departure, dtype=np.float64)[finished] - a[finished]
-        waiting = sojourn - np.array(served, dtype=np.float64)[finished]
+        sojourn = trace.departure_time[finished] - trace.arrival_time[finished]
+        waiting = sojourn - trace.service_time[finished]
         left, still_in = bins[done[kept]], bins[~done[kept]]
         self._tallies += (
             np.bincount(left, minlength=n),
@@ -325,7 +317,7 @@ def write_points_csv(points: Iterable[float], values: Iterable[ExtendedReal | No
     Each real prints as ``repr(float(x))``, so numpy floats print as Python
     floats do. Unequal lengths raise ValueError before the file is opened.
     """
-    _write_rows(_cells(points), values, path)
+    _write_rows(_cells(list(points)), values, path)
 
 
 def write_curve_csv(curve: CurveEstimate, path) -> None:
@@ -338,7 +330,7 @@ def write_curve_csv(curve: CurveEstimate, path) -> None:
 
 def _write_rows(points: Sequence[str], values: Iterable[ExtendedReal | None], path) -> None:
     """Write ``p,value`` rows from the points' cell texts and the values."""
-    cells = _cells(None if v is None else v.value for v in values)
+    cells = _cells([None if v is None else v.value for v in values])
     if len(points) != len(cells):
         raise ValueError(f"{len(points)} points but {len(cells)} values")
     with open(path, "w", newline="") as handle:

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -428,32 +429,35 @@ class TestObserver:
         assert raw.curve().values != density.curve().values
 
 
+def _columns(trace: SimTrace) -> list[np.ndarray]:
+    """The trace's five columns, in record field order."""
+    return [getattr(trace, name) for name in CustomerRecord._fields[1:]]
+
+
 class TestColumnarTrace:
     # Overloaded, so the horizon leaves censored customers.
     CONFIG = SimConfig(SystemParams(5.0, 2), 30.0, 43)
 
     def test_records_are_built_from_the_columns(self) -> None:
         trace = simulate(self.CONFIG)
-        columns = (
-            trace.priority,
-            trace.arrival_time,
-            trace.last_service_entry,
-            trace.departure_time,
-            trace.service_time,
-        )
+        times = [[None if math.isnan(x) else x for x in column.tolist()] for column in _columns(trace)[2:]]
+        columns = (trace.priority.tolist(), trace.arrival_time.tolist(), *times)
         rebuilt = tuple(CustomerRecord(i, *row) for i, row in enumerate(zip(*columns)))
         assert trace.records == rebuilt
         assert trace.records is trace.records
         assert len(trace) == len(trace.records) > 0
-        assert tuple(zip(*trace.records)) == tuple(map(tuple, trace.columns))
-        assert [s is None for s in trace.service_time] == [d is None for d in trace.departure_time]
-        assert trace.departure_time.count(None) == trace.final_population > 0
+        assert tuple(zip(*trace.records)) == (tuple(range(len(trace))), *map(tuple, columns))
+        assert {type(v) for r in trace.records for v in r[1:]} == {float, type(None)}
+        assert [s is None for s in columns[4]] == [d is None for d in columns[3]]
+        assert columns[3].count(None) == trace.final_population > 0
 
     @pytest.mark.parametrize("simulator", [simulate, reference_simulate])
     def test_both_simulators_assemble_traces_alike(self, simulator) -> None:
         trace = simulator(self.CONFIG)
-        assert all(type(column) is tuple for column in trace.columns[1:] + (trace.snapshots,))
-        assert [s is None for s in trace.service_time] == [d is None for d in trace.departure_time]
+        for column in _columns(trace):
+            assert column.dtype == np.float64 and column.shape == (len(trace),) and not column.flags.writeable
+        assert type(trace.snapshots) is tuple
+        assert np.isnan(trace.service_time).tolist() == np.isnan(trace.departure_time).tolist()
         assert trace.final_population > 0 and len(trace.snapshots) == len(trace)
         assert simulator(replace(self.CONFIG, record_snapshots=False)).snapshots == ()
 
@@ -477,6 +481,54 @@ class TestColumnarTrace:
         data = (tmp_path / "from_trace.csv").read_bytes()
         assert data == (tmp_path / "from_records.csv").read_bytes()
         assert read_trace_csv(tmp_path / "from_trace.csv") == trace.records
+
+
+class TestTraceConstruction:
+    """A hand-built trace's columns are read once, through the real rule, into float64."""
+
+    COLUMNS = ((0.25, -0.0), (0.0, 1.0), (0.0, None), (2.0, None), (2.0, None))
+
+    def test_columns_are_read_only_float64(self) -> None:
+        trace = SimTrace(*self.COLUMNS)
+        for column in _columns(trace):
+            assert column.dtype == np.float64 and column.shape == (2,)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+        assert trace.records == (
+            CustomerRecord(0, 0.25, 0.0, 0.0, 2.0, 2.0),
+            CustomerRecord(1, -0.0, 1.0, None, None, None),
+        )
+
+    def test_float64_columns_are_taken_as_they_are(self) -> None:
+        given = [np.array(c, dtype=np.float64) for c in self.COLUMNS]
+        trace = SimTrace(*given)
+        assert [c.tobytes() for c in _columns(trace)] == [c.tobytes() for c in given]
+        assert trace.records == SimTrace(*self.COLUMNS).records
+
+    def test_none_is_nan_in_the_optional_times_only(self) -> None:
+        trace = SimTrace(*self.COLUMNS)
+        assert [np.isnan(c).tolist() for c in _columns(trace)] == [[False, False]] * 2 + [[False, True]] * 3
+        assert trace.final_population == 1 and trace.event_count == 3
+        with pytest.raises(ValueError, match="priority level must be a number, got None"):
+            SimTrace((None,), (0.0,), (None,), (None,), (None,))
+        with pytest.raises(ValueError, match="arrival_time must be a number, got None"):
+            SimTrace((0.5,), (None,), (None,), (None,), (None,))
+
+    def test_signed_zeros_keep_their_sign_bits(self) -> None:
+        trace = SimTrace((-0.0, 0.0), (-0.0, 0.0), (-0.0, 0.0), (-0.0, 0.0), (-0.0, 0.0))
+        for column in _columns(trace):
+            assert np.signbit(column).tolist() == [True, False]
+        assert [tuple(map(repr, r[1:])) for r in trace.records] == [("-0.0",) * 5, ("0.0",) * 5]
+        assert [repr(s.time) for s in trace.snapshots] == ["-0.0", "0.0"]
+
+    @pytest.mark.parametrize("k", range(5), ids=CustomerRecord._fields[1:])
+    def test_values_that_are_not_reals_are_refused(self, k) -> None:
+        name = "priority level" if k == 0 else CustomerRecord._fields[1 + k]
+        for bad in (Decimal("0.5"), True, np.True_, "0.5", np.array([True])):
+            columns = [[0.5] for _ in range(5)]
+            columns[k] = bad if isinstance(bad, np.ndarray) else [bad]
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                SimTrace(*columns)
 
 
 class TestCsvRoundTrip:
@@ -577,7 +629,7 @@ class TestSharedCellTexts:
     def test_signed_zero_levels_keep_their_own_texts(self, tmp_path) -> None:
         quantile = lambda u: math.copysign(0.0, u - 0.5)  # noqa: E731
         trace = simulate(SimConfig(SystemParams(3.0, 2), 40.0, 7, priority_quantile=quantile))
-        assert {repr(p) for p in trace.priority} == {"-0.0", "0.0"}
+        assert {repr(p) for p in trace.priority.tolist()} == {"-0.0", "0.0"}
         trace_csv, snaps_csv = self.written(tmp_path, trace)
         assert trace_csv == _csv_module_trace(trace.records)
         assert snaps_csv == _csv_module_snapshots(trace.snapshots)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uniprio.analytics import INFINITY, ExtendedReal, SystemParams
-from uniprio.des import CustomerRecord, SimConfig, SimTrace, Snapshot, simulate
+from uniprio.des import CustomerRecord, SimConfig, SimTrace, Snapshot, simulate, write_trace_csv
 from uniprio.oracle import reference_simulate
 from uniprio.estimate import (
     BinGrid,
@@ -52,7 +52,7 @@ def swept_counts(trace: SimTrace, grid: BinGrid, start_time: float) -> tuple[int
     bins = [grid.index_of(p) for p in trace.priority]
     events = sorted(
         [(a, 0, i) for i, a in enumerate(trace.arrival_time)]
-        + [(d, 1, i) for i, d in enumerate(trace.departure_time) if d is not None]
+        + [(d, 1, i) for i, d in enumerate(trace.departure_time) if not math.isnan(d)]
     )
     present, sums, snapshots = [0] * grid.n_bins, [0] * grid.n_bins, 0
     for time, leaving, i in events:
@@ -160,10 +160,11 @@ class TestBinGrid:
     def test_reductions_check_only_the_levels_they_tally(self) -> None:
         early = Snapshot(0.0, (True,)), Snapshot(2.0, (0.5,))
         assert DensityAccumulator(GRID20, 1.0).add_snapshots(early).snapshot_count == 1
+        # Records are made a trace first, which checks every level's type, tallied or not.
         records = [record(0, True, 0.0, 0.0, 1.0, 1.0), record(1, 0.5, 2.0, 2.0, 3.0, 1.0)]
-        assert RecordBinStats(GRID20).add(records, 1.0).departed_total == 1
-        with pytest.raises(ValueError, match="priority level must be a number"):
-            RecordBinStats(GRID20).add(records)
+        for start_time in (1.0, 0.0):
+            with pytest.raises(ValueError, match="priority level must be a number"):
+                RecordBinStats(GRID20).add(records, start_time)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -243,7 +244,7 @@ class TestDensityEstimation:
         # Levels -0.0 and 0.0 share the lowest bin; both reductions put them there.
         quantile = lambda u: -0.0 if u < 0.3 else (0.0 if u < 0.6 else u)  # noqa: E731
         trace = simulator(SimConfig(SystemParams(3.0, 2), 120.0, 4, priority_quantile=quantile))
-        assert {repr(p) for p in trace.priority} >= {"-0.0", "0.0"}
+        assert {repr(p) for p in trace.priority.tolist()} >= {"-0.0", "0.0"}
         columns = DensityAccumulator(GRID20, start_time).add_trace(trace)
         stored = DensityAccumulator(GRID20, start_time).add_snapshots(trace.snapshots)
         assert columns.snapshot_count == stored.snapshot_count > 0
@@ -517,6 +518,24 @@ class TestDelayEstimation:
         stats = RecordBinStats(BinGrid(0.5))
         with pytest.raises(ValueError):
             stats.add([record(0, 0.2, 0.0, 1.0, 3.0, None)])
+
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            (record(0, 0.5, True, 1.0, 3.0, 2.0), "arrival_time"),
+            (record(0, 0.5, 1.0, True, 3.0, 2.0), "last_service_entry"),
+            (record(0, 0.5, 1.0, 1.0, "3.0", 2.0), "departure_time"),
+        ],
+    )
+    def test_mistyped_times_are_refused(self, tmp_path, bad, field) -> None:
+        # Neither True read as 1.0 nor "3.0" parsed as 3.0.
+        stats = RecordBinStats(BinGrid(0.5))
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            stats.add([bad])
+        assert tallies(stats) == ([0, 0], [0, 0], [0.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            write_trace_csv([bad], tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_merge_equals_single_pass(self) -> None:
         # Counts merge exactly; the means may differ by summation order.
