@@ -137,13 +137,15 @@ class SimConfig:
 class SimTrace:
     """Everything one run produced; immutable after construction.
 
-    Customers are held as read-only float64 columns indexed by customer id,
-    one per :class:`CustomerRecord` field after ``customer_id``, with NaN for
-    a missing time (``service_time`` is NaN exactly where ``departure_time``
-    is). Other columns are read once through the real rule, None as NaN in the
-    last three only; level ranges are checked when binning. :attr:`records`
-    (None for a missing time) and :attr:`snapshots` are built on first read;
-    ``len(trace)``, :attr:`final_population` and :attr:`event_count` need neither.
+    Customers are held as read-only float64 columns of one length, indexed by
+    customer id, one per :class:`CustomerRecord` field after ``customer_id``,
+    with NaN for a missing time (``service_time`` is NaN exactly where
+    ``departure_time`` is). A read-only float64 array that owns its data is
+    taken as it is and another is copied; other columns meet the real rule
+    once, None as NaN in the last three only. Level ranges are checked when
+    binning. :attr:`records` (None for a missing time) and :attr:`snapshots`
+    are built on first read; ``len(trace)``, :attr:`final_population` and
+    :attr:`event_count` need neither.
 
     >>> trace = SimTrace((0.5,), (1.0,), (None,), (None,), (None,))
     >>> trace.final_population, trace.records[0].departure_time is None
@@ -158,13 +160,19 @@ class SimTrace:
 
     def __post_init__(self) -> None:
         for k, name in enumerate(CustomerRecord._fields[1:]):
-            values = getattr(self, name)
-            if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
-                rule = "priority level" if k == 0 else name
-                values = [math.nan if x is None and k > 1 else _as_real(rule, x) for x in values]
-            column = np.array(values, dtype=np.float64)
+            column = getattr(self, name)
+            if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
+                # Entries other than floats, or None where it is allowed, meet the real rule.
+                if not set(map(type, column)) <= ({float, type(None)} if k > 1 else {float}):
+                    rule = "priority level" if k == 0 else name
+                    column = [math.nan if x is None and k > 1 else _as_real(rule, x) for x in column]
+                column = np.array(column, dtype=np.float64)
+            elif column.flags.writeable or not column.flags.owndata:
+                column = column.copy()  # the caller may still write to it
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+            if len(column) != len(self.priority):
+                raise ValueError(f"{name} has {len(column)} entries, priority has {len(self.priority)}")
 
     def __len__(self) -> int:
         return len(self.arrival_time)
@@ -184,6 +192,8 @@ class SimTrace:
         """A run's trace from its lists; ``served`` is ``service_time`` where ``departed`` is set."""
         columns = [np.array(c, dtype=np.float64) for c in (priority, arrival, entered, departed, served)]
         columns[4][np.isnan(columns[3])] = np.nan
+        for column in columns:
+            column.flags.writeable = False  # so the trace takes it without a copy
         trace = cls(*columns)
         if not config.record_snapshots:
             vars(trace)["snapshots"] = ()
@@ -191,8 +201,10 @@ class SimTrace:
 
     @cached_property
     def records(self) -> tuple[CustomerRecord, ...]:
-        times = (self.last_service_entry, self.departure_time, self.service_time)
-        optional = ([None if x != x else x for x in column.tolist()] for column in times)
+        times = self.last_service_entry, self.departure_time, self.service_time
+        optional = [column.tolist() for column in times]
+        for k, i in np.argwhere(np.isnan(times)).tolist():
+            optional[k][i] = None
         columns = range(len(self)), self._levels, self.arrival_time.tolist(), *optional
         return tuple(map(CustomerRecord._make, zip(*columns)))
 

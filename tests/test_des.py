@@ -521,6 +521,23 @@ class TestTraceConstruction:
         assert [tuple(map(repr, r[1:])) for r in trace.records] == [("-0.0",) * 5, ("0.0",) * 5]
         assert [repr(s.time) for s in trace.snapshots] == ["-0.0", "0.0"]
 
+    def test_given_columns_are_copied_unless_read_only(self) -> None:
+        given = [np.array(c, dtype=np.float64) for c in self.COLUMNS]
+        given[1].flags.writeable = False
+        trace = SimTrace(*given)
+        assert trace.arrival_time is given[1] and trace.priority is not given[0]
+        given[0][0] = 0.75
+        assert trace.priority.tolist() == [0.25, -0.0]
+        view = np.array(self.COLUMNS[0])[:]
+        view.flags.writeable = False
+        assert SimTrace(view, *given[1:]).priority is not view
+
+    def test_columns_of_unequal_lengths_are_refused(self) -> None:
+        with pytest.raises(ValueError, match="arrival_time has 1 entries, priority has 2"):
+            SimTrace((0.5, 0.6), (0.0,), (None,), (None,), (None,))
+        with pytest.raises(ValueError, match="service_time has 1 entries, priority has 2"):
+            SimTrace(*[np.array(c, dtype=np.float64) for c in self.COLUMNS[:4]], np.zeros(1))
+
     @pytest.mark.parametrize("k", range(5), ids=CustomerRecord._fields[1:])
     def test_values_that_are_not_reals_are_refused(self, k) -> None:
         name = "priority level" if k == 0 else CustomerRecord._fields[1 + k]
@@ -644,7 +661,7 @@ class TestSharedCellTexts:
         assert any(r.is_censored and r.last_service_entry is None for r in trace.records)
         assert any(r.is_censored and r.last_service_entry is not None for r in trace.records)
         # Entries at a departure instant, not at the customer's own arrival.
-        assert any(e is not None and e != a for a, e in zip(trace.arrival_time, trace.last_service_entry))
+        assert any(r.last_service_entry not in (None, r.arrival_time) for r in trace.records)
         trace_csv, snaps_csv = self.written(tmp_path, trace)
         assert trace_csv == _csv_module_trace(trace.records)
         assert snaps_csv == _csv_module_snapshots(trace.snapshots)
