@@ -11,20 +11,22 @@ touching only one clock per event.
 
 Observables follow the arrivals-see-time-averages route: the snapshot of an
 arrival is the sorted multiset of priorities present just before it joins.
-The event loop stores none of them: a trace's columns fix every snapshot, and
-:attr:`SimTrace.snapshots` builds them from the columns on first read.
+The event loop stores none of them: a trace's columns fix every snapshot. One
+walk over the arrivals, which places each customer by its rank in (level,
+arrival) order, builds :attr:`SimTrace.snapshots` on first read and writes a
+trace's snapshot file.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from .analytics import SystemParams, _as_int, _as_real
@@ -205,7 +207,7 @@ class SimTrace:
         optional = [column.tolist() for column in times]
         for k, i in np.argwhere(np.isnan(times)).tolist():
             optional[k][i] = None
-        columns = range(len(self)), self._levels, self.arrival_time.tolist(), *optional
+        columns = range(len(self)), self.priority.tolist(), self.arrival_time.tolist(), *optional
         return tuple(map(CustomerRecord._make, zip(*columns)))
 
     def _snapshot_ends(self) -> np.ndarray:
@@ -213,41 +215,51 @@ class SimTrace:
 
         Snapshot ``j`` is taken at arrival ``j``, before it joins, so ``hi`` counts the
         arrivals at or before ``i``'s departure (served first on a tie), or all of them
-        if ``i`` is censored: its NaN sorts after every arrival.
+        if ``i`` is censored: its NaN sorts after every arrival. Arrivals that are NaN
+        or not ascending, and a departure before its own arrival, raise ValueError.
         """
-        return np.searchsorted(self.arrival_time, self.departure_time, "right")
+        arrival = self.arrival_time
+        if np.isnan(arrival).any() or (arrival[1:] < arrival[:-1]).any():
+            raise ValueError("arrival times must be ascending and not NaN")
+        ends = np.searchsorted(arrival, self.departure_time, "right")
+        if (ends <= np.arange(len(self))).any():
+            raise ValueError("a customer departs before its arrival")
+        return ends
+
+    @cached_property
+    def _ranks(self) -> tuple[list[int], list[int], list[int]]:
+        """Each customer's rank by (level, arrival), as a stable sort orders them (``-0.0``
+        ties ``0.0``, NaN last); the ranks in leaving order; and how many left before each snapshot."""
+        n = len(self)
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.argsort(self.priority, kind="stable")] = np.arange(n)
+        ends = self._snapshot_ends()
+        leavers = rank[np.argsort(ends, kind="stable")].tolist()
+        left = np.cumsum(np.bincount(ends, minlength=n + 1)).tolist()
+        return rank.tolist(), leavers, left
+
+    def _walk(self, values: Sequence) -> Iterator[list]:
+        """Per arrival ``j``, the ``values`` of the customers in snapshot ``j`` in rank order, as one
+        list reused from row to row; the present ranks are kept sorted, so a leaver is found by its own."""
+        ranks, leavers, left = self._ranks
+        present, shown = [], []
+        k = 0
+        for j, value in enumerate(values):
+            while k < left[j]:
+                at = bisect_left(present, leavers[k])
+                del present[at], shown[at]
+                k += 1
+            yield shown
+            at = bisect_left(present, ranks[j])
+            present.insert(at, ranks[j])
+            shown.insert(at, value)
 
     @cached_property
     def snapshots(self) -> tuple[Snapshot, ...]:
         """Every arrival's snapshot, built on first read: levels ascending, equal ones by arrival."""
-        priority = self._levels
-        ends = self._snapshot_ends()
-        # Customers in the order they leave, and how many have left before each snapshot.
-        leavers = np.argsort(ends, kind="stable").tolist()
-        left = np.cumsum(np.bincount(ends, minlength=len(self) + 1)).tolist()
-        # The displays present, ascending and equal ones by arrival, and their customers.
-        present, ids, views = [], [], []
-        k = 0
-        for j, display in enumerate(priority):
-            while k < left[j]:
-                # Among equal displays (say -0.0 and 0.0), drop the leaver's own.
-                i = leavers[k]
-                at = bisect_left(present, priority[i])
-                while ids[at] != i:
-                    at += 1
-                del present[at], ids[at]
-                k += 1
-            views.append(tuple(present))
-            at = bisect_right(present, display)
-            present.insert(at, display)
-            ids.insert(at, j)
+        views = map(tuple, self._walk(self.priority.tolist()))
         # Snapshot._make without a Python call per snapshot.
         return tuple(map(tuple.__new__, repeat(Snapshot), zip(self.arrival_time.tolist(), views)))
-
-    @cached_property
-    def _levels(self) -> list[float]:
-        """The levels as the floats the snapshots hold, so text lookups keyed by them match by identity."""
-        return self.priority.tolist()
 
     # Cell texts of the two columns that both the trace and the snapshot file
     # print, formatted on first use.
@@ -388,26 +400,6 @@ def _cells(column: Sequence[float | None] | np.ndarray) -> tuple[str, ...]:
     return tuple(repr(values)[1:-1].replace("nan", "").split(", "))
 
 
-class _ReprCache(dict):
-    """Cell text per value, as :func:`_cells` writes it, each formatted once.
-
-    It starts from ``values`` already formatted as ``texts`` and formats
-    only the values it was not given. Zeros are never stored: ``0.0 == -0.0``
-    would share one key, but their texts differ. NaN equals no key, so it
-    is formatted at each lookup.
-    """
-
-    def __init__(self, values: Sequence[float] = (), texts: Sequence[str] = ()) -> None:
-        super().__init__(zip(values, texts))
-        self.pop(0.0, None)
-
-    def __missing__(self, value: float) -> str:
-        text = repr(float(value)).replace("nan", "")
-        if abs(value) > 0.0:  # neither a zero nor NaN
-            self[value] = text
-        return text
-
-
 def _transposed(trace_or_records: SimTrace | Iterable[CustomerRecord]) -> tuple[Sequence[int], SimTrace]:
     """The customer ids and the trace; records are made a trace, and their ids kept for messages."""
     if isinstance(trace_or_records, SimTrace):
@@ -420,23 +412,25 @@ def write_trace_csv(trace_or_records: SimTrace | Iterable[CustomerRecord], path)
     """Write a trace's customers, or records made a trace, one row each; empty cells mark missing times.
 
     Each real prints as ``repr(float(x))``, so numpy floats print as Python
-    floats do. Each column is formatted once. A trace's priority and
-    arrival texts are cached on it, for :func:`write_snapshots_csv` to reuse,
-    and each ``last_service_entry``, always some arrival or departure instant
-    in a simulated run, takes its text from theirs. Rows are formatted
-    directly in ``csv.writer``'s excel dialect: no cell (an integer, a float
-    repr or empty) ever needs quoting.
+    floats do. Each column is formatted once, by :func:`_cells`; a trace's
+    priority and arrival texts are cached on it, for
+    :func:`write_snapshots_csv` to reuse, and a ``last_service_entry`` with
+    the bits of the customer's own arrival takes that arrival's text. Rows
+    are formatted directly in ``csv.writer``'s excel dialect: no cell (an
+    integer, a float repr or empty) ever needs quoting.
     """
     ids, trace = _transposed(trace_or_records)
-    departure = _cells(trace.departure_time)
-    times = trace.arrival_time.tolist() + trace.departure_time.tolist()
-    entry = _ReprCache(times, trace._arrival_texts + departure)
+    # Most customers enter service on arrival: only the other entry times are formatted.
+    entered = trace.last_service_entry
+    elsewhere = entered.view(np.int64) != trace.arrival_time.view(np.int64)
+    entry = np.array(trace._arrival_texts, dtype=object)
+    entry[elsewhere] = _cells(entered[elsewhere])
     rows = zip(
         ids,
         trace._priority_texts,
         trace._arrival_texts,
-        map(entry.__getitem__, trace.last_service_entry.tolist()),
-        departure,
+        entry,
+        _cells(trace.departure_time),
         _cells(trace.service_time),
     )
     with open(path, "w", newline="") as handle:
@@ -467,25 +461,24 @@ def read_trace_csv(path) -> tuple[CustomerRecord, ...]:
 def write_snapshots_csv(trace_or_snapshots: SimTrace | Iterable[Snapshot], path) -> None:
     """Write per-arrival snapshots, or a trace's; priorities are semicolon-joined, ascending.
 
-    Cells print as in :func:`write_trace_csv`. Given a trace, snapshot ``j``
-    takes the cached text of arrival ``j``, and its levels the cached priority
-    texts, by value (zeros are formatted); plain snapshots format each value
-    once per file. Rows are formatted directly, as for :func:`write_trace_csv`:
-    a float repr holds no comma, quote or line break, so ``csv.writer`` would
-    quote nothing either.
+    Cells print as in :func:`write_trace_csv`. A trace's rows come from the
+    walk that builds :attr:`SimTrace.snapshots`, over its cached priority and
+    arrival texts, without building the view; a trace without snapshots
+    formats nothing. Each plain snapshot is one :func:`_cells` call. Rows are
+    formatted directly: a float repr holds no comma, quote or line break, so
+    ``csv.writer`` would quote nothing either.
     """
-    if isinstance(trace_or_snapshots, SimTrace) and trace_or_snapshots.snapshots:
+    if not isinstance(trace_or_snapshots, SimTrace):
+        texts = (_cells((time, *priorities)) for time, priorities in trace_or_snapshots)
+        rows = ((cells[0], cells[1:]) for cells in texts)
+    elif vars(trace_or_snapshots).get("snapshots") == ():  # not stored, or no arrival
+        rows = ()
+    else:
         trace = trace_or_snapshots
-        levels = _ReprCache(trace._levels, trace._priority_texts)
-        rows = zip(trace._arrival_texts, (priorities for _, priorities in trace.snapshots))
-    else:  # a trace without snapshots formats nothing for its header-only file
-        snapshots = () if isinstance(trace_or_snapshots, SimTrace) else trace_or_snapshots
-        times, levels = _ReprCache(), _ReprCache()
-        rows = ((times[time], priorities) for time, priorities in snapshots)
-    level_text = levels.__getitem__
+        rows = zip(trace._arrival_texts, trace._walk(trace._priority_texts))
     with open(path, "w", newline="") as handle:
         handle.write("snapshot_time,priorities\r\n")
-        handle.writelines(f"{time},{';'.join(map(level_text, present))}\r\n" for time, present in rows)
+        handle.writelines(f"{time},{';'.join(levels)}\r\n" for time, levels in rows)
 
 
 def read_snapshots_csv(path) -> tuple[Snapshot, ...]:

@@ -163,7 +163,8 @@ class DensityAccumulator:
 
         Customer ``i`` counts in snapshots ``i + 1`` to ``hi - 1`` (``hi`` from
         ``SimTrace._snapshot_ends``) from the first at or after ``start_time``
-        on. A level that is not a number in [0, 1] raises ValueError and adds nothing.
+        on. A level that is not a number in [0, 1], or times that rule refuses,
+        raise ValueError and add nothing.
         """
         bins = self.grid.indices(trace.priority)
         n = len(trace)

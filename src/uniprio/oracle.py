@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import _as_int, _as_real
 from .des import SimConfig, SimTrace
 
 __all__ = [
@@ -45,19 +45,15 @@ class BirthDeathSpec:
     truncation: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.arrival_rate, bool) or not isinstance(self.arrival_rate, numbers.Real):
-            raise ValueError(f"arrival_rate must be a number, got {self.arrival_rate!r}")
-        object.__setattr__(self, "arrival_rate", float(self.arrival_rate))
+        object.__setattr__(self, "arrival_rate", _as_real("arrival_rate", self.arrival_rate))
         if not math.isfinite(self.arrival_rate) or self.arrival_rate < 0.0:
             raise ValueError(f"arrival_rate must be finite and nonnegative, got {self.arrival_rate}")
-        if isinstance(self.servers, bool) or not isinstance(self.servers, int) or self.servers < 1:
-            raise ValueError(f"servers must be an integer at least 1, got {self.servers!r}")
-        truncation = self.truncation
-        if isinstance(truncation, bool) or not isinstance(truncation, int) or truncation < self.servers:
-            raise ValueError(
-                f"truncation must be an integer at least servers={self.servers}, "
-                f"got {truncation!r}"
-            )
+        object.__setattr__(self, "servers", _as_int("servers", self.servers))
+        if self.servers < 1:
+            raise ValueError(f"servers must be at least 1, got {self.servers}")
+        object.__setattr__(self, "truncation", _as_int("truncation", self.truncation))
+        if self.truncation < self.servers:
+            raise ValueError(f"truncation must be at least servers={self.servers}, got {self.truncation}")
 
 
 def default_truncation(arrival_rate: float, servers: int) -> int:
@@ -65,9 +61,11 @@ def default_truncation(arrival_rate: float, servers: int) -> int:
 
     The stationary tail decays like ``(arrival_rate / servers)^k`` past the
     ramp, so ``servers + ceil(60 / (1 - load))`` states suffice; capped at
-    10^6 for loads vanishingly close to one.
+    10^6 for loads vanishingly close to one. The arguments meet the value
+    rules of :class:`BirthDeathSpec`.
     """
-    load = arrival_rate / servers
+    servers = _as_int("servers", servers)
+    load = _as_real("arrival_rate", arrival_rate) / servers
     if load >= 1.0:
         raise ValueError(f"no stationary law at load {load} >= 1")
     return min(servers + math.ceil(60.0 / (1.0 - load)), _TRUNCATION_CAP)

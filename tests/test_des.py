@@ -30,7 +30,7 @@ from uniprio.des import (
     write_snapshots_csv,
     write_trace_csv,
 )
-from uniprio.estimate import BinGrid, DensityAccumulator
+from uniprio.estimate import BinGrid, DensityAccumulator, RecordBinStats
 from uniprio.oracle import reference_simulate
 
 PARAMS = SystemParams(1.5, 2)
@@ -191,6 +191,83 @@ class TestSnapshotView:
         snapshots = trace.snapshots
         assert vars(trace)["snapshots"] is snapshots is trace.snapshots
         assert len(snapshots) == len(trace)
+
+
+class TestSnapshotWalk:
+    """One walk, keyed by each customer's rank, builds both the view and a trace's snapshot file."""
+
+    def test_worked_example(self, tmp_path) -> None:
+        # Equal displays (0.25 three times), signed zeros, and departures at
+        # 3.0, 4.0 and 6.0 tied with arrivals, which still see the leaver.
+        # 0.0 (customer 3) and -0.0 (customer 4) are equal, so arrival order
+        # puts 0.0 first; after 6.0 it is customer 3 who has left, so -0.0
+        # stays, ahead of customer 6's 0.0.
+        arrival = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+        departure = (4.0, 3.0, None, 6.0, None, None, None, None)
+        service = tuple(None if d is None else d - a for a, d in zip(arrival, departure))
+        trace = SimTrace((0.25, -0.0, 0.25, 0.0, -0.0, 0.25, 0.0, 0.5), arrival, arrival, departure, service)
+        expected = [
+            (),
+            (0.25,),
+            (-0.0, 0.25),
+            (-0.0, 0.25, 0.25),
+            (0.0, 0.25, 0.25),
+            (0.0, -0.0, 0.25),
+            (0.0, -0.0, 0.25, 0.25),
+            (-0.0, 0.0, 0.25, 0.25),
+        ]
+        assert [repr(s.priorities) for s in trace.snapshots] == list(map(repr, expected))
+        for snap in trace.snapshots:
+            assert repr(snap.priorities) == repr(tuple(sorted(_present_at(trace, snap.time))))
+        write_snapshots_csv(trace, tmp_path / "snaps.csv")
+        assert (tmp_path / "snaps.csv").read_bytes() == _csv_module_snapshots(trace.snapshots) == (
+            b"snapshot_time,priorities\r\n0.0,\r\n1.0,0.25\r\n2.0,-0.0;0.25\r\n3.0,-0.0;0.25;0.25\r\n"
+            b"4.0,0.0;0.25;0.25\r\n5.0,0.0;-0.0;0.25\r\n6.0,0.0;-0.0;0.25;0.25\r\n7.0,-0.0;0.0;0.25;0.25\r\n"
+        )
+
+    def test_nan_displays_are_placed_last(self, tmp_path) -> None:
+        # NaN equals no level, so a lookup by value could not find it again.
+        quantile = lambda u: math.nan if u < 0.2 else u  # noqa: E731
+        trace = simulate(SimConfig(SystemParams(3.0, 2), 60.0, 0, priority_quantile=quantile))
+        assert np.isnan(trace.priority).any()
+        for snap in trace.snapshots:
+            expected = _present_at(trace, snap.time)
+            levels = [p for p in expected if not math.isnan(p)]
+            shown = sorted(levels) + [math.nan] * (len(expected) - len(levels))
+            assert repr(snap.priorities) == repr(tuple(shown))
+        write_snapshots_csv(trace, tmp_path / "snaps.csv")
+        assert (tmp_path / "snaps.csv").read_bytes() == _csv_module_snapshots(trace.snapshots).replace(b"nan", b"")
+
+    def test_arrivals_out_of_order_are_refused(self, tmp_path) -> None:
+        # The customer arriving at 2.0 would show in the snapshot taken at 1.0.
+        columns = (0.2, 0.7), (2.0, 1.0), (2.0, 1.0), (None, 3.0), (None, 2.0)
+        trace = SimTrace(*columns)
+        with pytest.raises(ValueError, match="ascending"):
+            trace.snapshots
+        density = DensityAccumulator(BinGrid(0.5))
+        with pytest.raises(ValueError, match="ascending"):
+            density.add_trace(trace)
+        assert density.snapshot_count == 0 and not density._sums.any()
+        with pytest.raises(ValueError, match="ascending"):
+            write_snapshots_csv(trace, tmp_path / "snaps.csv")
+        # Records are tallied in any order: the same customers, ascending, tally the same.
+        ascending = SimTrace(*(column[::-1] for column in columns))
+        stats = RecordBinStats(BinGrid(0.5))
+        assert stats.add(trace)._tallies.tolist() == RecordBinStats(BinGrid(0.5)).add(ascending)._tallies.tolist()
+        assert (stats.departed_total, stats.censored_total) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "arrival, departure, message",
+        [((0.0, math.nan), (None, None), "ascending"), ((math.nan,), (None,), "ascending"), ((1.0,), (0.5,), "before")],
+        ids=["nan-arrival", "lone-nan-arrival", "departure-before-arrival"],
+    )
+    def test_times_the_snapshot_rule_cannot_read_are_refused(self, arrival, departure, message) -> None:
+        service = tuple(None if d is None else 0.1 for d in departure)
+        trace = SimTrace((0.5,) * len(arrival), arrival, arrival, departure, service)
+        with pytest.raises(ValueError, match=message):
+            trace.snapshots
+        with pytest.raises(ValueError, match=message):
+            DensityAccumulator(BinGrid(0.5)).add_trace(trace)
 
 
 class TestDeterminism:

@@ -80,6 +80,17 @@ class TestBirthDeathStationary:
             BirthDeathSpec(rate, 1, truncation)
         assert BirthDeathSpec(np.float64(0.5), 1, 10).arrival_rate == 0.5
 
+    @pytest.mark.parametrize("servers, truncation, field", [(True, 10, "servers"), (2, np.True_, "truncation")])
+    def test_rejects_bools_as_integers(self, servers, truncation, field) -> None:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BirthDeathSpec(0.5, servers, truncation)
+
+    def test_takes_numpy_integers_as_ints(self) -> None:
+        spec = BirthDeathSpec(np.int64(1), np.int64(2), np.int32(100))
+        assert (spec.arrival_rate, spec.servers, spec.truncation) == (1.0, 2, 100)
+        assert tuple(map(type, (spec.arrival_rate, spec.servers, spec.truncation))) == (float, int, int)
+        assert birth_death_stationary(spec) == pytest.approx(birth_death_stationary(BirthDeathSpec(1.0, 2, 100)))
+
     def test_zero_rate_degenerates_to_empty(self) -> None:
         pi = birth_death_stationary(BirthDeathSpec(0.0, 3, 10))
         assert pi[0] == 1.0
@@ -106,6 +117,18 @@ class TestDefaultTruncation:
 
     def test_capped(self) -> None:
         assert default_truncation(1 - 1e-12, 1) <= 10**6
+
+    def test_takes_numpy_numbers(self) -> None:
+        assert default_truncation(np.float64(1.5), np.int64(2)) == default_truncation(1.5, 2)
+        assert type(default_truncation(np.float64(1.5), np.int64(2))) is int
+
+    @pytest.mark.parametrize(
+        "rate, servers, field",
+        [(True, 2, "arrival_rate"), ("1.5", 2, "arrival_rate"), (1.5, True, "servers"), (1.5, 2.0, "servers")],
+    )
+    def test_rejects_mistyped_arguments(self, rate, servers, field) -> None:
+        with pytest.raises(ValueError, match=field):
+            default_truncation(rate, servers)
 
 
 class TestFiniteDifference:
