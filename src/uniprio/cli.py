@@ -81,6 +81,12 @@ _POLICIES = [policy.value for policy in CensoredPolicy]
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: ``replications`` runs of ``params`` to ``horizon`` from ``seed``, by ``workers``.
+
+    Estimates on bins of width ``delta`` under ``censored_policy``, curves at ``curve_resolution``
+    points, into ``output_dir``. Both reductions take :attr:`start_time`, set by ``warmup_fraction``.
+    """
+
     params: SystemParams
     horizon: float
     delta: float
@@ -199,7 +205,7 @@ def _replicate(config: ExperimentConfig, r: int) -> tuple[dict, DensityAccumulat
         files[name] = config.output_dir / f"{name}.csv"
         write(trace, files[name])
     density = DensityAccumulator(config.grid, config.start_time).add_snapshots(trace.snapshots)
-    delays = RecordBinStats(config.grid).add(trace, config.start_time)
+    delays = RecordBinStats(config.grid, config.start_time).add(trace)
     return files, density, delays
 
 
@@ -222,7 +228,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     params = config.params
 
     density = DensityAccumulator(config.grid, config.start_time)
-    delays = RecordBinStats(config.grid)
+    delays = RecordBinStats(config.grid, config.start_time)
     artifacts: dict[str, Path] = {}
 
     # A fork-started pool launches every worker at the first submit, so it

@@ -141,12 +141,13 @@ class SimTrace:
 
     Customers are held as read-only float64 columns of one length, indexed by
     customer id, one per :class:`CustomerRecord` field after ``customer_id``,
-    with NaN for a missing time (``service_time`` is NaN exactly where
-    ``departure_time`` is). A read-only float64 array that owns its data is
-    taken as it is and another is copied; other columns meet the real rule
-    once, None as NaN in the last three only. Level ranges are checked when
-    binning. :attr:`records` (None for a missing time) and :attr:`snapshots`
-    are built on first read; ``len(trace)``, :attr:`final_population` and
+    with NaN for a missing time (in a simulated trace, ``service_time`` is NaN
+    exactly where ``departure_time`` is; a built one may keep a censored
+    customer's). A read-only float64 array that owns its data is taken as it
+    is and another is copied; other columns meet the real rule once, None as
+    NaN in the last three only. Level ranges are checked when binning.
+    :attr:`records` (None for a missing time) and :attr:`snapshots` are built
+    on first read; ``len(trace)``, :attr:`final_population` and
     :attr:`event_count` need neither.
 
     >>> trace = SimTrace((0.5,), (1.0,), (None,), (None,), (None,))

@@ -134,29 +134,42 @@ class CurveEstimate:
 _BLOCK = 4096
 
 
-def _start_time(value: float) -> float:
-    # A warm-up cutoff of NaN would count no snapshot but tally every customer.
-    start_time = _as_real("start_time", value)
-    if np.isnan(start_time):
-        raise ValueError("start_time must not be NaN")
-    return start_time
+class _BinTallies:
+    """Per-bin tallies on one grid from a warm-up start on, mergeable across replications.
+
+    Each subclass's ``rows`` share one ``(rows, n_bins)`` float array that holds every count
+    exactly. ``start_time`` is fixed when the reduction is made, and a merge checks it.
+    """
+
+    rows: int
+
+    def __init__(self, grid: BinGrid, start_time: float = 0.0) -> None:
+        # A warm-up cutoff of NaN would count no snapshot but tally every customer.
+        self.start_time = _as_real("start_time", start_time)
+        if np.isnan(self.start_time):
+            raise ValueError("start_time must not be NaN")
+        self.grid = grid
+        self._tallies = np.zeros((self.rows, grid.n_bins))
+
+    def merge(self, other: "_BinTallies") -> "_BinTallies":
+        """Add ``other``'s tallies; ``other`` is unchanged."""
+        if type(other) is not type(self) or (other.grid, other.start_time) != (self.grid, self.start_time):
+            raise ValueError("cannot merge reductions of another kind, grid or warm-up start times")
+        self._tallies += other._tallies
+        return self
 
 
-class DensityAccumulator:
+class DensityAccumulator(_BinTallies):
     """Per-bin population counts over arrival snapshots, mergeable across replications.
 
     A customer contributes one to its bin at every snapshot it is present
     for: :meth:`add_trace` counts those snapshots from a trace's columns,
     :meth:`add_snapshots` bins stored ones. Snapshots before ``start_time``
-    are ignored (warm-up). Every sum is an integer count held exactly in a
-    float, so traces, blocks of snapshots and merges add without changing a bit.
+    are ignored (warm-up). The rows hold the head counts and, in every bin,
+    the snapshot count.
     """
 
-    def __init__(self, grid: BinGrid, start_time: float = 0.0) -> None:
-        self.grid = grid
-        self.start_time = _start_time(start_time)
-        self._sums = np.zeros(grid.n_bins)
-        self._snapshots = 0
+    rows = 2
 
     def add_trace(self, trace: SimTrace) -> "DensityAccumulator":
         """Add the snapshots of ``trace``'s arrivals at or after ``start_time``, unbuilt.
@@ -171,8 +184,8 @@ class DensityAccumulator:
         first = int(np.searchsorted(trace.arrival_time, self.start_time))
         lo = np.maximum(np.arange(1, n + 1), first)
         seen = np.maximum(trace._snapshot_ends() - lo, 0)
-        self._sums += np.bincount(bins, weights=seen, minlength=self.grid.n_bins)
-        self._snapshots += n - first
+        self._tallies[0] += np.bincount(bins, weights=seen, minlength=self.grid.n_bins)
+        self._tallies[1] += n - first
         return self
 
     def add_snapshots(self, snapshots: Iterable[Snapshot]) -> "DensityAccumulator":
@@ -190,81 +203,71 @@ class DensityAccumulator:
                 sums += np.bincount(self.grid.indices(block), minlength=self.grid.n_bins)
                 block = []
         sums += np.bincount(self.grid.indices(block), minlength=self.grid.n_bins)
-        self._sums += sums
-        self._snapshots += count
+        self._tallies[0] += sums
+        self._tallies[1] += count
         return self
 
     @property
     def snapshot_count(self) -> int:
-        return self._snapshots
-
-    def merge(self, other: "DensityAccumulator") -> "DensityAccumulator":
-        """Add ``other``'s sums and snapshot count; ``other`` is unchanged."""
-        if (other.grid, other.start_time) != (self.grid, self.start_time):
-            raise ValueError("cannot merge accumulators on different grids or start times")
-        self._sums += other._sums
-        self._snapshots += other._snapshots
-        return self
+        return int(self._tallies[1, 0])
 
     def curve(self) -> CurveEstimate:
         """Density curve: bin count times mean per-bin population per snapshot.
 
         With no snapshot accumulated every bin is None (no data).
         """
-        n = self.grid.n_bins
-        if self._snapshots == 0:
+        n, count = self.grid.n_bins, self.snapshot_count
+        if count == 0:
             return CurveEstimate(self.grid, (None,) * n)
-        values = tuple(ExtendedReal(n * s / self._snapshots) for s in self._sums.tolist())
+        values = tuple(ExtendedReal(n * s / count) for s in self._tallies[0].tolist())
         return CurveEstimate(self.grid, values)
 
 
-class RecordBinStats:
+class RecordBinStats(_BinTallies):
     """Mergeable per-bin delay tallies over customers.
 
     Tracks, per bin, the number of departed and censored customers and the
-    summed sojourn and waiting times of the departed ones, as the four rows
-    of one ``(4, n_bins)`` float array that holds every count exactly.
+    summed sojourn and waiting times of the departed ones, as four rows.
     Curves for either censoring policy come out of the same tallies. Waiting
     is :attr:`uniprio.des.CustomerRecord.waiting`, the total time out of
     service (sojourn minus ``service_time``).
     """
 
-    def __init__(self, grid: BinGrid) -> None:
-        self.grid = grid
-        # Rows: departed, censored, sojourn sum, waiting sum.
-        self._tallies = np.zeros((4, grid.n_bins))
+    rows = 4  # departed, censored, sojourn sum, waiting sum
 
-    def add(
-        self, trace_or_records: SimTrace | Iterable[CustomerRecord], start_time: float = 0.0
-    ) -> "RecordBinStats":
+    def add(self, trace_or_records: SimTrace | Iterable[CustomerRecord]) -> "RecordBinStats":
         """Tally customers whose arrival is at or after ``start_time``.
 
         A trace hands over its columns; records are made a trace first, which
         refuses a field that is not a number, whatever its arrival. Every
         customer to be tallied is then checked, and a fault raises ValueError
         and changes no tally: first any priority outside [0, 1], then any
-        departed customer without a service entry or a service time.
+        arrival that is not finite, departure that is not finite or precedes
+        its arrival, or departure without a service entry or a service time.
 
         Each tally is one ``np.bincount``, which adds in input order, so one
         call on a fresh instance sums exactly as a loop over the customers
         would. Further calls add their per-call sums, as :meth:`merge` would.
         """
-        start_time = _start_time(start_time)
         ids, trace = _transposed(trace_or_records)
-        kept = ~(trace.arrival_time < start_time)
+        arrival, departure = trace.arrival_time, trace.departure_time
+        kept = ~(arrival < self.start_time)
         bins = self.grid.indices(trace.priority, kept)
-        done = ~np.isnan(trace.departure_time)
+        done = ~np.isnan(departure)
+        untimed = ~np.isfinite(arrival) | np.isinf(departure) | (departure < arrival)
         no_entry = done & np.isnan(trace.last_service_entry)
         no_time = done & np.isnan(trace.service_time)
-        bad = np.flatnonzero(kept & (no_entry | no_time))
+        bad = np.flatnonzero(kept & (untimed | no_entry | no_time))
         if bad.size:
             i = bad[0]
+            if untimed[i]:
+                raise ValueError(f"customer {ids[i]} arrives at {arrival[i]}, departs at {departure[i]}")
             missing = "service entry" if no_entry[i] else "service time"
             raise ValueError(f"departed customer {ids[i]} has no {missing}")
 
         n = self.grid.n_bins
         finished = kept & done
-        sojourn = trace.departure_time[finished] - trace.arrival_time[finished]
+        sojourn = departure[finished] - arrival[finished]
         waiting = sojourn - trace.service_time[finished]
         left, still_in = bins[done[kept]], bins[~done[kept]]
         self._tallies += (
@@ -273,12 +276,6 @@ class RecordBinStats:
             np.bincount(left, weights=sojourn, minlength=n),
             np.bincount(left, weights=waiting, minlength=n),
         )
-        return self
-
-    def merge(self, other: "RecordBinStats") -> "RecordBinStats":
-        if other.grid != self.grid:
-            raise ValueError("cannot merge stats on different grids")
-        self._tallies += other._tallies
         return self
 
     @property
@@ -301,15 +298,11 @@ class RecordBinStats:
 
     def _curve(self, row: int, policy: CensoredPolicy) -> CurveEstimate:
         departed, censored, sums = self._tallies[[0, 1, row]].tolist()
-        values: list[ExtendedReal | None] = []
-        for d, c, s in zip(departed, censored, sums):
-            if policy is CensoredPolicy.INFINITE and c > 0:
-                values.append(INFINITY)
-            elif d == 0:
-                values.append(None)
-            else:
-                values.append(ExtendedReal(s / d))
-        return CurveEstimate(self.grid, tuple(values))
+        infinite = policy is CensoredPolicy.INFINITE
+        return CurveEstimate(self.grid, tuple(
+            INFINITY if infinite and c > 0 else None if d == 0 else ExtendedReal(s / d)
+            for d, c, s in zip(departed, censored, sums)
+        ))
 
 
 def write_points_csv(points: Iterable[float], values: Iterable[ExtendedReal | None], path) -> None:

@@ -64,11 +64,11 @@ def default_truncation(arrival_rate: float, servers: int) -> int:
     10^6 for loads vanishingly close to one. The arguments meet the value
     rules of :class:`BirthDeathSpec`.
     """
-    servers = _as_int("servers", servers)
-    load = _as_real("arrival_rate", arrival_rate) / servers
+    spec = BirthDeathSpec(arrival_rate, servers, servers)
+    load = spec.arrival_rate / spec.servers
     if load >= 1.0:
         raise ValueError(f"no stationary law at load {load} >= 1")
-    return min(servers + math.ceil(60.0 / (1.0 - load)), _TRUNCATION_CAP)
+    return min(spec.servers + math.ceil(60.0 / (1.0 - load)), _TRUNCATION_CAP)
 
 
 def birth_death_stationary(spec: BirthDeathSpec) -> np.ndarray:

@@ -247,7 +247,7 @@ class TestSnapshotWalk:
         density = DensityAccumulator(BinGrid(0.5))
         with pytest.raises(ValueError, match="ascending"):
             density.add_trace(trace)
-        assert density.snapshot_count == 0 and not density._sums.any()
+        assert density.snapshot_count == 0 and not density._tallies.any()
         with pytest.raises(ValueError, match="ascending"):
             write_snapshots_csv(trace, tmp_path / "snaps.csv")
         # Records are tallied in any order: the same customers, ascending, tally the same.
@@ -477,7 +477,7 @@ class TestObserver:
         trace = simulate(SimConfig(PARAMS, 300.0, 31), observer=density)
         assert density.snapshot_count == len(trace) == len(trace.snapshots)
         heads = sum(len(s.priorities) for s in trace.snapshots)
-        assert density._sums.sum() == heads
+        assert density._tallies[0].sum() == heads
 
     def test_disabling_snapshot_storage_changes_nothing_else(self) -> None:
         kept = simulate(SimConfig(PARAMS, 300.0, 31))

@@ -164,7 +164,7 @@ class TestBinGrid:
         records = [record(0, True, 0.0, 0.0, 1.0, 1.0), record(1, 0.5, 2.0, 2.0, 3.0, 1.0)]
         for start_time in (1.0, 0.0):
             with pytest.raises(ValueError, match="priority level must be a number"):
-                RecordBinStats(GRID20).add(records, start_time)
+                RecordBinStats(GRID20, start_time).add(records)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -248,26 +248,22 @@ class TestDensityEstimation:
         columns = DensityAccumulator(GRID20, start_time).add_trace(trace)
         stored = DensityAccumulator(GRID20, start_time).add_snapshots(trace.snapshots)
         assert columns.snapshot_count == stored.snapshot_count > 0
-        assert columns._sums.tobytes() == stored._sums.tobytes()
+        assert columns._tallies.tobytes() == stored._tallies.tobytes()
         assert columns.curve().values == stored.curve().values
 
     def test_empty_trace_adds_nothing(self) -> None:
         acc = DensityAccumulator(GRID20).add_snapshots([Snapshot(0.0, (0.3, 0.9))])
-        state = (acc._sums.tolist(), acc.snapshot_count)
+        state = (acc._tallies.tolist(), acc.snapshot_count)
         acc.add_trace(hand_trace((), (), ()))
-        assert (acc._sums.tolist(), acc.snapshot_count) == state
+        assert (acc._tallies.tolist(), acc.snapshot_count) == state
         assert DensityAccumulator(GRID20).add_trace(hand_trace((), (), ())).snapshot_count == 0
 
     @pytest.mark.parametrize("bad", ["x", "0.5", True, None])
     def test_start_time_must_be_a_number(self, bad) -> None:
-        with pytest.raises(ValueError, match="start_time must be a number"):
-            DensityAccumulator(GRID20, start_time=bad)
-        stats = RecordBinStats(GRID20)
-        for records in ([record(0, 0.5, 1.0, 1.0, 2.0, 1.0)], []):
+        for reduction in (DensityAccumulator, RecordBinStats):
             with pytest.raises(ValueError, match="start_time must be a number"):
-                stats.add(records, start_time=bad)
-        assert stats.departed_total == stats.censored_total == 0
-        assert type(DensityAccumulator(GRID20, start_time=1).start_time) is float
+                reduction(GRID20, start_time=bad)
+            assert type(reduction(GRID20, start_time=1).start_time) is float
 
     def test_warmup_skips_early_snapshots(self) -> None:
         snaps = [Snapshot(0.5, (0.1,)), Snapshot(2.0, (0.7,))]
@@ -297,19 +293,25 @@ class TestDensityEstimation:
         assert acc.snapshot_count == 0
         assert acc.merge(DensityAccumulator(GRID20, 10.0)).snapshot_count == 0
 
+    @pytest.mark.parametrize(
+        "kind, other", [(DensityAccumulator, RecordBinStats), (RecordBinStats, DensityAccumulator)]
+    )
+    def test_merge_refuses_the_other_reduction(self, kind, other) -> None:
+        acc = kind(GRID20)
+        with pytest.raises(ValueError, match="another kind"):
+            acc.merge(other(GRID20))
+        assert not acc._tallies.any()
+
     def test_both_reductions_refuse_a_nan_start_time(self) -> None:
         # A NaN window would count no snapshot but tally every customer.
         trace = simulate(SimConfig(SystemParams(1.5, 2), 200.0, 3))
-        with pytest.raises(ValueError, match="start_time must not be NaN"):
-            DensityAccumulator(GRID20, math.nan)
-        stats = RecordBinStats(GRID20)
-        with pytest.raises(ValueError, match="start_time must not be NaN"):
-            stats.add(trace, math.nan)
-        assert stats.departed_total == stats.censored_total == 0
+        for reduction in (DensityAccumulator, RecordBinStats):
+            with pytest.raises(ValueError, match="start_time must not be NaN"):
+                reduction(GRID20, math.nan)
         # Infinite windows stay consistent: nothing after +inf, everything after -inf.
         for start, counted in [(math.inf, 0), (-math.inf, len(trace))]:
             assert DensityAccumulator(GRID20, start).add_trace(trace).snapshot_count == counted
-            stats = RecordBinStats(GRID20).add(trace, start)
+            stats = RecordBinStats(GRID20, start).add(trace)
             assert stats.departed_total + stats.censored_total == counted
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 10, 20, 49, 100])
@@ -386,7 +388,7 @@ class TestStreamingObserver:
         config = SimConfig(SystemParams(alpha, c), horizon, 24, record_snapshots=stored)
         trace = simulate(config, observer=acc)
         assert acc.snapshot_count > 0
-        assert (acc.snapshot_count, acc._sums.tolist()) == swept_counts(trace, GRID20, start)
+        assert (acc.snapshot_count, acc._tallies[0].tolist()) == swept_counts(trace, GRID20, start)
         if stored:
             offline = DensityAccumulator(GRID20, start).add_snapshots(trace.snapshots)
             assert offline.snapshot_count == acc.snapshot_count
@@ -419,11 +421,11 @@ class TestStreamingObserver:
     @pytest.mark.parametrize("bad", [1.5, math.nan, -0.1])
     def test_add_trace_rejects_bad_levels(self, bad) -> None:
         (acc, _), _, _ = self.runs()
-        state = (acc._sums.tolist(), acc.snapshot_count)
+        state = (acc._tallies.tolist(), acc.snapshot_count)
         trace = hand_trace((0.1, bad, 0.7), (50.0, 60.0, 70.0), (55.0, None, None))
         with pytest.raises(ValueError, match="outside"):
             acc.add_trace(trace)
-        assert (acc._sums.tolist(), acc.snapshot_count) == state
+        assert (acc._tallies.tolist(), acc.snapshot_count) == state
 
     def test_observer_rejects_displays_outside_the_unit_interval(self) -> None:
         params, horizon = self.CONFIG
@@ -431,18 +433,18 @@ class TestStreamingObserver:
         exponential = SimConfig(params, horizon, 25, priority_quantile=lambda u: -math.log1p(-u))
         with pytest.raises(ValueError, match="outside"):
             simulate(exponential, observer=acc)
-        assert acc.snapshot_count == 0 and not acc._sums.any()
+        assert acc.snapshot_count == 0 and not acc._tallies.any()
 
     def test_merge_leaves_its_argument_unchanged(self) -> None:
         (first, _), (second, _), _ = self.runs()
-        state = (second._sums.tolist(), second.snapshot_count)
+        state = (second._tallies.tolist(), second.snapshot_count)
         curve = second.curve().values
         first.merge(second)
-        assert (second._sums.tolist(), second.snapshot_count) == state
+        assert (second._tallies.tolist(), second.snapshot_count) == state
         assert second.curve().values == curve
         # Adding to the merged accumulator leaves the merged-in one alone too.
         first.add_snapshots([Snapshot(self.START, (0.5,))])
-        assert (second._sums.tolist(), second.snapshot_count) == state
+        assert (second._tallies.tolist(), second.snapshot_count) == state
         again = DensityAccumulator(GRID20, self.START).merge(first)
         assert again.curve().values == first.curve().values
 
@@ -504,8 +506,8 @@ class TestDelayEstimation:
 
     def test_warmup_skips_early_arrivals(self) -> None:
         rs = [record(0, 0.2, 0.0, 0.0, 1.0, 1.0), record(1, 0.2, 5.0, 5.0, 7.0, 2.0)]
-        stats = RecordBinStats(BinGrid(0.5))
-        stats.add(rs, start_time=2.0)
+        stats = RecordBinStats(BinGrid(0.5), start_time=2.0)
+        stats.add(rs)
         assert stats.departed_total == 1
         assert stats.sojourn_curve().values[0] == ExtendedReal(2.0)
 
@@ -561,11 +563,52 @@ class TestDelayEstimation:
         start = 0.2 * horizon
         assert trace.final_population > 0
         assert any(a < start for a in trace.arrival_time)
-        from_trace = RecordBinStats(GRID20).add(trace, start)
-        from_records = RecordBinStats(GRID20).add(trace.records, start)
+        from_trace = RecordBinStats(GRID20, start).add(trace)
+        from_records = RecordBinStats(GRID20, start).add(trace.records)
         assert tallies(from_trace) == tallies(from_records)
         assert tallies(from_trace) == loop_tallies(trace.records, GRID20, start)
         assert from_trace.censored_total > 0
+
+    def test_merge_rejects_another_warmup(self) -> None:
+        stats = RecordBinStats(GRID20, 1.0)
+        early = RecordBinStats(GRID20, 0.0).add([record(0, 0.5, 0.5, 0.5, 2.0, 1.0)])
+        with pytest.raises(ValueError, match="start times"):
+            stats.merge(early)
+        assert not stats._tallies.any()
+        assert tallies(stats.merge(RecordBinStats(GRID20, 1.0))) == tallies(RecordBinStats(GRID20))
+
+    def test_pooled_replications_equal_the_loop_with_that_warmup(self) -> None:
+        start = 40.0
+        traces = [simulate(SimConfig(SystemParams(1.9, 2), 200.0, seed)) for seed in (21, 22)]
+        pooled = RecordBinStats(GRID20, start)
+        for trace in traces:
+            pooled.merge(RecordBinStats(GRID20, start).add(trace))
+        # Each replication sums in record order, and the merge adds those sums in replication order.
+        per_trace = [loop_tallies(trace.records, GRID20, start) for trace in traces]
+        assert tallies(pooled) == tuple([a + b for a, b in zip(*rows)] for rows in zip(*per_trace))
+        departed, censored, _, _ = loop_tallies([r for t in traces for r in t.records], GRID20, start)
+        assert tallies(pooled)[:2] == (departed, censored)
+        assert 0 < pooled.departed_total < sum(len(t) for t in traces)
+
+    @pytest.mark.parametrize(
+        "start, arrival, departure",
+        [
+            (0.0, math.nan, 1.0),
+            (0.0, math.nan, None),
+            (0.0, math.inf, None),
+            (-math.inf, -math.inf, 1.0),
+            (0.0, 3.0, 1.0),
+            (0.0, 0.5, math.inf),
+        ],
+    )
+    def test_times_that_give_no_delay_are_refused(self, start, arrival, departure) -> None:
+        stats = RecordBinStats(BinGrid(0.5), start).add([record(0, 0.2, 0.2, 0.2, 0.4, 0.2)])
+        before = tallies(stats)
+        served = None if departure is None else 0.5
+        trace = SimTrace((0.2, 0.6), (0.2, arrival), (0.2, 0.2), (0.4, departure), (0.2, served))
+        with pytest.raises(ValueError, match="customer 1 arrives at"):
+            stats.add(trace)
+        assert tallies(stats) == before
 
     def test_repeated_add_equals_merge(self) -> None:
         trace = simulate(SimConfig(SystemParams(1.5, 2), 400.0, 13))
@@ -604,10 +647,11 @@ class TestDelayEstimation:
             record(0, 0.2, 0.0, 3.5, 4.0, None),
             record(0, 1.5, 0.0, 0.0, 4.0, 1.0),
             record(0, math.nan, 0.0, 0.0, 4.0, 1.0),
+            record(0, 0.2, 1.0, 1.0, 0.5, 0.5),
         ],
     )
     def test_bad_record_before_start_time_is_skipped(self, bad) -> None:
-        stats = RecordBinStats(BinGrid(0.5)).add([bad, record(1, 0.2, 5.0, 5.0, 7.0, 2.0)], 2.0)
+        stats = RecordBinStats(BinGrid(0.5), 2.0).add([bad, record(1, 0.2, 5.0, 5.0, 7.0, 2.0)])
         assert tallies(stats) == ([1, 0], [0, 0], [2.0, 0.0], [0.0, 0.0])
 
 

@@ -130,6 +130,21 @@ class TestDefaultTruncation:
         with pytest.raises(ValueError, match=field):
             default_truncation(rate, servers)
 
+    @pytest.mark.parametrize(
+        "rate, servers, message",
+        [
+            (1.0, -1, "servers must be at least 1"),
+            (1.0, 0, "servers must be at least 1"),
+            (-3.0, 2, "arrival_rate must be finite and nonnegative"),
+            (math.nan, 2, "arrival_rate must be finite and nonnegative"),
+            (math.inf, 2, "arrival_rate must be finite and nonnegative"),
+        ],
+    )
+    def test_applies_the_range_rules_of_birth_death_spec(self, rate, servers, message) -> None:
+        for build in (default_truncation, lambda r, c: BirthDeathSpec(r, c, 100)):
+            with pytest.raises(ValueError, match=message):
+                build(rate, servers)
+
 
 class TestFiniteDifference:
     def test_quadratic(self) -> None:

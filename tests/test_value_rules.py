@@ -93,7 +93,7 @@ REAL_SITES = [
         "start_time", lambda v: DensityAccumulator(GRID, v).start_time, id="DensityAccumulator.start_time"
     ),
     pytest.param(
-        "start_time", lambda v: RecordBinStats(GRID).add([], v).departed_total, id="RecordBinStats.add"
+        "start_time", lambda v: RecordBinStats(GRID, v).add([]).departed_total, id="RecordBinStats.add"
     ),
     *(
         pytest.param(key, setting(key, field), id=f"settings.{key}")
