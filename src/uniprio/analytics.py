@@ -29,9 +29,11 @@ The three terms the closed forms read of it, ``pi_0``, ``pi_c`` and the
 ratio ``P0' / (alpha P0)``, are computed once per load ``a`` and server count
 and shared through a bounded cache of recent loads, so the closed forms at one
 load share one walk of the recurrence; the results are unchanged bit for bit.
-Only ``tail_pmf`` inside the body ``0 < k < c`` walks it afresh. Stability is
-decided by the exact floating-point comparison ``(1 - p) * alpha < c`` with no
-epsilon guard.
+Only ``tail_pmf`` inside the body ``0 < k < c`` walks it afresh. Each closed
+form does its arithmetic on plain floats, checking each intermediate mean as
+nonnegative, and boxes its result once as an :class:`ExtendedReal`; every
+infinite result is the one :data:`INFINITY`. Stability is decided by the exact
+floating-point comparison ``(1 - p) * alpha < c`` with no epsilon guard.
 """
 
 from __future__ import annotations
@@ -91,13 +93,35 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def _nonnegative(value: float) -> float:
+    # The rule of ExtendedReal, also for the plain-float means inside the
+    # closed forms; `not >=` refuses NaN as well as a negative.
+    if not value >= 0.0:
+        raise ValueError(f"expected a nonnegative real or +inf, got {value}")
+    return value
+
+
 class UnstableRegionError(ValueError):
     """A per-level distribution was requested where no steady state exists.
 
     Raised by :func:`p0_mass`, :func:`p0_derivative` and :func:`tail_pmf` when
     ``(1 - p) * alpha >= c``. Mean-value functions do not raise; they return
     :data:`INFINITY` instead, because the divergent mean is itself meaningful.
+
+    Made as ``UnstableRegionError(p, params, a)``, with ``a`` the thinned
+    arrival rate ``(1 - p) * alpha``; those three values are its ``args``, and
+    its message is built from them when read.
     """
+
+    def __init__(self, p: float, params: SystemParams, a: float) -> None:
+        super().__init__(p, params, a)
+
+    def __str__(self) -> str:
+        p, params, a = self.args
+        return (
+            f"no steady state at level p={p} for alpha={params.alpha}, c={params.c}: "
+            f"thinned arrival rate {a} is not below {params.c}"
+        )
 
 
 @dataclass(frozen=True)
@@ -126,7 +150,7 @@ class SystemParams:
         return self.alpha / self.c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExtendedReal:
     """A nonnegative real or +infinity, carried as an explicit tagged value.
 
@@ -135,15 +159,14 @@ class ExtendedReal:
     arithmetic; the class intentionally defines no arithmetic operators.
     ``value`` is ``math.inf`` exactly when the quantity is infinite. Use
     :attr:`finite` when a finite number is required (it raises otherwise) and
-    ``float(x)`` when rendering, where infinity is acceptable.
+    ``float(x)`` when rendering, where infinity is acceptable. ``value`` must
+    be a real number, as every real in this package must.
     """
 
     value: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", float(self.value))
-        if math.isnan(self.value) or self.value < 0.0:
-            raise ValueError(f"expected a nonnegative real or +inf, got {self.value}")
+    def __init__(self, value: float) -> None:
+        object.__setattr__(self, "value", _nonnegative(_as_real("value", value)))
 
     @property
     def is_finite(self) -> bool:
@@ -252,11 +275,43 @@ def _tail(
     if not a < params.c:
         if not strict:
             return None
-        raise UnstableRegionError(
-            f"no steady state at level p={p} for alpha={params.alpha}, c={params.c}: "
-            f"thinned arrival rate {a} is not below {params.c}"
-        )
+        raise UnstableRegionError(p, params, a)
     return a, _load_terms(a, params.c)
+
+
+def _box(value: float) -> ExtendedReal:
+    # A closed form's one ExtendedReal; every infinite result shares INFINITY.
+    return INFINITY if value == math.inf else ExtendedReal(value)
+
+
+def _tail_mean(params: SystemParams, p: float) -> float:
+    # expected_tail_count as a checked float, inf on the unstable side.
+    tail = _tail(params, p, strict=False)
+    if tail is None:
+        return math.inf
+    a, (_, pi_c, _) = tail
+    c = params.c
+    g = 1.0 - a / c
+    return _nonnegative(a + a * pi_c / (c * g * g))
+
+
+def _waiting(params: SystemParams, p: float) -> float:
+    # waiting_time as a checked float, inf on the unstable side.
+    tail = _tail(params, p, strict=False)
+    if tail is None:
+        return math.inf
+    a, (_, pi_c, slope) = tail
+    c = params.c
+    g = 1.0 - a / c
+    # P0' / P0 enters through _slope_bracket, never as a quotient: P0 may underflow.
+    bracket = ((c + 1) - a * slope) / (c * g * g) + 2.0 * a / (c * c * g * g * g)
+    return _nonnegative(pi_c * bracket)
+
+
+def _density(params: SystemParams, p: float) -> float:
+    # alpha (1 + W): at least alpha > 0 and never NaN, as W is checked, so this
+    # needs no check of its own; an infinite W gives inf.
+    return params.alpha + params.alpha * _waiting(params, p)
 
 
 def p0_mass(params: SystemParams, p: float) -> float:
@@ -324,13 +379,7 @@ def expected_tail_count(params: SystemParams, p: float) -> ExtendedReal:
         >>> expected_tail_count(SystemParams(alpha=1.5, c=2), 1.0)
         ExtendedReal(0.0)
     """
-    tail = _tail(params, p, strict=False)
-    if tail is None:
-        return INFINITY
-    a, (_, pi_c, _) = tail
-    c = params.c
-    g = 1.0 - a / c
-    return ExtendedReal(a + a * pi_c / (c * g * g))
+    return _box(_tail_mean(params, p))
 
 
 def priority_density(params: SystemParams, p: float) -> ExtendedReal:
@@ -347,10 +396,7 @@ def priority_density(params: SystemParams, p: float) -> ExtendedReal:
     the bracketed terms. Returns +infinity on the unstable side, and exactly
     ``alpha`` at ``p = 1``.
     """
-    waiting = waiting_time(params, p)
-    if not waiting.is_finite:
-        return INFINITY
-    return ExtendedReal(params.alpha + params.alpha * waiting.value)
+    return _box(_density(params, p))
 
 
 def sojourn_time(params: SystemParams, p: float) -> ExtendedReal:
@@ -359,10 +405,7 @@ def sojourn_time(params: SystemParams, p: float) -> ExtendedReal:
     Equals :func:`priority_density` divided by ``alpha``; +infinity on the
     unstable side and exactly 1 (one mean service) at ``p = 1``.
     """
-    density = priority_density(params, p)
-    if not density.is_finite:
-        return INFINITY
-    return ExtendedReal(density.value / params.alpha)
+    return _box(_density(params, p) / params.alpha)
 
 
 def waiting_time(params: SystemParams, p: float) -> ExtendedReal:
@@ -374,15 +417,7 @@ def waiting_time(params: SystemParams, p: float) -> ExtendedReal:
     from the occupancy, not as ``sojourn - 1``, so it keeps its relative
     precision however small it is.
     """
-    tail = _tail(params, p, strict=False)
-    if tail is None:
-        return INFINITY
-    a, (_, pi_c, slope) = tail
-    c = params.c
-    g = 1.0 - a / c
-    # P0' / P0 enters through _slope_bracket, never as a quotient: P0 may underflow.
-    bracket = ((c + 1) - a * slope) / (c * g * g) + 2.0 * a / (c * c * g * g * g)
-    return ExtendedReal(pi_c * bracket)
+    return _box(_waiting(params, p))
 
 
 def mean_measure(params: SystemParams, a: float, b: float) -> ExtendedReal:
@@ -396,14 +431,16 @@ def mean_measure(params: SystemParams, a: float, b: float) -> ExtendedReal:
     Raises:
         ValueError: if the endpoints are outside [0, 1] or ``a > b``.
     """
-    low = expected_tail_count(params, a)  # each endpoint is checked here, once
-    high = expected_tail_count(params, b)
+    low = _tail_mean(params, a)  # each endpoint is checked here, once
+    high = _tail_mean(params, b)
     if a > b:
         raise ValueError(f"interval endpoints out of order: a={a} > b={b}")
     if a == b:
         return ExtendedReal(0.0)
-    if not low.is_finite:
+    if low == math.inf:
         return INFINITY
-    diff = low.value - high.finite
+    if high == math.inf:
+        raise ValueError("value is infinite")
+    diff = low - high
     # The analytic difference is nonnegative; absorb last-ulp rounding noise.
     return ExtendedReal(diff if diff > 0.0 else 0.0)

@@ -243,7 +243,8 @@ class RecordBinStats(_BinTallies):
         customer to be tallied is then checked, and a fault raises ValueError
         and changes no tally: first any priority outside [0, 1], then any
         arrival that is not finite, departure that is not finite or precedes
-        its arrival, or departure without a service entry or a service time.
+        its arrival, or departure without a service entry or with a service
+        time that is missing or outside [0, sojourn].
 
         Each tally is one ``np.bincount``, which adds in input order, so one
         call on a fresh instance sums exactly as a loop over the customers
@@ -256,19 +257,25 @@ class RecordBinStats(_BinTallies):
         done = ~np.isnan(departure)
         untimed = ~np.isfinite(arrival) | np.isinf(departure) | (departure < arrival)
         no_entry = done & np.isnan(trace.last_service_entry)
-        no_time = done & np.isnan(trace.service_time)
-        bad = np.flatnonzero(kept & (untimed | no_entry | no_time))
+        with np.errstate(invalid="ignore"):  # NaN from inf - inf: a customer refused or not tallied
+            span = departure - arrival
+        served = trace.service_time
+        # A missing (NaN) service time fails this too, and is named as missing.
+        unserved = done & ~((served >= 0.0) & (served <= span))
+        bad = np.flatnonzero(kept & (untimed | no_entry | unserved))
         if bad.size:
             i = bad[0]
             if untimed[i]:
                 raise ValueError(f"customer {ids[i]} arrives at {arrival[i]}, departs at {departure[i]}")
-            missing = "service entry" if no_entry[i] else "service time"
-            raise ValueError(f"departed customer {ids[i]} has no {missing}")
+            if no_entry[i] or np.isnan(served[i]):
+                missing = "service entry" if no_entry[i] else "service time"
+                raise ValueError(f"departed customer {ids[i]} has no {missing}")
+            raise ValueError(f"departed customer {ids[i]} has service time {served[i]} outside [0, {span[i]}]")
 
         n = self.grid.n_bins
         finished = kept & done
-        sojourn = departure[finished] - arrival[finished]
-        waiting = sojourn - trace.service_time[finished]
+        sojourn = span[finished]
+        waiting = sojourn - served[finished]
         left, still_in = bins[done[kept]], bins[~done[kept]]
         self._tallies += (
             np.bincount(left, minlength=n),

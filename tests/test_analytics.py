@@ -8,7 +8,9 @@ against its own implementation.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -77,6 +79,17 @@ class TestExtendedReal:
         with pytest.raises(ValueError):
             INFINITY.finite
 
+    def test_is_a_frozen_dataclass(self) -> None:
+        x = ExtendedReal(2.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.value = 3.0
+        assert x == ExtendedReal(np.float64(2.5)) and hash(x) == hash(ExtendedReal(2.5))
+        assert {x, ExtendedReal(2.5), INFINITY, ExtendedReal(math.inf)} == {x, INFINITY}
+        assert dataclasses.replace(x, value=4.0) == ExtendedReal(4.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            dataclasses.replace(x, value=-1.0)
+        assert repr(x) == "ExtendedReal(2.5)" and repr(INFINITY) == "ExtendedReal(inf)"
+
 
 class TestStability:
     def test_strict_inequality(self) -> None:
@@ -121,6 +134,14 @@ class TestP0Mass:
     def test_unstable_region_raises(self) -> None:
         with pytest.raises(UnstableRegionError):
             p0_mass(SystemParams(5.0, 2), 0.3)
+
+    def test_unstable_region_message(self) -> None:
+        with pytest.raises(UnstableRegionError) as info:
+            p0_mass(SystemParams(5.0, 2), 0.1)
+        message = "no steady state at level p=0.1 for alpha=5.0, c=2: thinned arrival rate 4.5 is not below 2"
+        assert isinstance(info.value, ValueError) and str(info.value) == message
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is UnstableRegionError and str(copy) == message
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
     def test_rejects_level_outside_unit_interval(self, p: float) -> None:
@@ -326,6 +347,59 @@ class TestMeanMeasure:
         whole = mean_measure(TWO_SERVER, lo, hi).finite
         split = mean_measure(TWO_SERVER, lo, mid).finite + mean_measure(TWO_SERVER, mid, hi).finite
         assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)
+
+
+class TestComposition:
+    """The closed forms compose bit for bit, and every infinite result is INFINITY.
+
+    Each form boxes one float; these are the identities the boxed values must
+    keep, on both sides of p*, at p* itself and at the ends of [0, 1].
+    """
+
+    SERVERS = [1, 2, 5, 21, 50, 100]
+
+    @staticmethod
+    def levels(params: SystemParams) -> list[float]:
+        p_star = stability_threshold(params).p_star
+        near = [math.nextafter(p_star, 0.0), p_star, math.nextafter(p_star, 1.0)]
+        return sorted({0.0, p_star / 2, *near, (1.0 + p_star) / 2, 0.95, 1.0})
+
+    @pytest.mark.parametrize("c", SERVERS)
+    def test_density_sojourn_and_waiting(self, c: int) -> None:
+        params = SystemParams(1.65 * c, c)
+        alpha = params.alpha
+        for p in self.levels(params):
+            waiting = waiting_time(params, p).value
+            density = priority_density(params, p).value
+            assert density.hex() == (alpha + alpha * waiting).hex()
+            assert sojourn_time(params, p).value.hex() == (density / alpha).hex()
+
+    @pytest.mark.parametrize("c", SERVERS)
+    def test_mean_measure_is_the_floored_difference(self, c: int) -> None:
+        params = SystemParams(1.65 * c, c)
+        levels = self.levels(params)
+        for a, b in zip(levels, levels[1:]):
+            low, high = expected_tail_count(params, a), expected_tail_count(params, b)
+            if low.is_finite:
+                diff = low.value - high.finite
+                expected = diff if diff > 0.0 else 0.0
+            else:
+                expected = math.inf
+            assert mean_measure(params, a, b).value.hex() == expected.hex()
+            assert mean_measure(params, a, a) == ExtendedReal(0.0)
+
+    @pytest.mark.parametrize("c", SERVERS)
+    def test_every_infinite_result_is_the_singleton(self, c: int) -> None:
+        params = SystemParams(1.65 * c, c)
+        levels = self.levels(params)
+        results = [
+            fn(params, p)
+            for p in levels
+            for fn in (expected_tail_count, waiting_time, priority_density, sojourn_time)
+        ]
+        results += [mean_measure(params, a, b) for a, b in zip(levels, levels[1:])]
+        infinite = [r for r in results if not r.is_finite]
+        assert infinite and all(r is INFINITY for r in infinite)
 
 
 @given(

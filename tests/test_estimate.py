@@ -610,6 +610,17 @@ class TestDelayEstimation:
             stats.add(trace)
         assert tallies(stats) == before
 
+    @pytest.mark.parametrize("service", [5.0, -1.0, math.inf])
+    def test_service_time_outside_the_sojourn_is_refused(self, service) -> None:
+        # Each was tallied as a waiting sum of 1.0 - service: -4.0, 2.0, -inf.
+        stats = RecordBinStats(BinGrid(0.5)).add(SimTrace((0.5,), (0.0,), (0.0,), (1.0,), (0.0,)))
+        before = tallies(stats)
+        with pytest.raises(ValueError, match=r"customer 0 has service time \S+ outside \[0, 1\.0\]"):
+            stats.add(SimTrace((0.5,), (0.0,), (0.0,), (1.0,), (service,)))
+        assert tallies(stats) == before
+        stats.add(SimTrace((0.5,), (0.0,), (0.0,), (1.0,), (1.0,)))  # the whole sojourn in service
+        assert stats.waiting_curve().values[1] == ExtendedReal(0.5)
+
     def test_repeated_add_equals_merge(self) -> None:
         trace = simulate(SimConfig(SystemParams(1.5, 2), 400.0, 13))
         first, second = trace.records[:300], trace.records[300:]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uniprio.analytics import SystemParams, is_stable, mean_measure, p0_mass, tail_pmf
+from uniprio.analytics import ExtendedReal, SystemParams, is_stable, mean_measure, p0_mass, tail_pmf
 from uniprio.cli import _DEFAULTS, ExperimentConfig, build_config
 from uniprio.des import SimConfig, SimTrace, Snapshot
 from uniprio.estimate import BinGrid, DensityAccumulator, RecordBinStats
@@ -62,6 +62,7 @@ INTEGER_SITES = [
 # The same for the real rule; a priority level goes through it too.
 REAL_SITES = [
     pytest.param("alpha", lambda v: SystemParams(v, 2).alpha, id="SystemParams.alpha"),
+    pytest.param("value", lambda v: ExtendedReal(v).value, id="ExtendedReal.value"),
     pytest.param("horizon", lambda v: SimConfig(PARAMS, v, 1).horizon, id="SimConfig.horizon"),
     *(
         pytest.param(name, experiment(name), id=f"ExperimentConfig.{name}")
