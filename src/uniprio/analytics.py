@@ -25,15 +25,16 @@ Numerical policy: every closed form reads the occupancy probabilities
 ``pi_0 .. pi_c`` of that subsystem from one helper, which walks the balance
 recurrence ``w_k = w_(k-1) a / k`` and rescales the weights whenever one passes
 1e280, so no ``k!`` or ``a^k`` is ever formed and any server count works.
-The three terms the closed forms read of it, ``pi_0``, ``pi_c`` and the
-ratio ``P0' / (alpha P0)``, are computed once per load ``a`` and server count
-and shared through a bounded cache of recent loads, so the closed forms at one
-load share one walk of the recurrence; the results are unchanged bit for bit.
-Only ``tail_pmf`` inside the body ``0 < k < c`` walks it afresh. Each closed
-form does its arithmetic on plain floats, checking each intermediate mean as
-nonnegative, and boxes its result once as an :class:`ExtendedReal`; every
-infinite result is the one :data:`INFINITY`. Stability is decided by the exact
-floating-point comparison ``(1 - p) * alpha < c`` with no epsilon guard.
+What the closed forms read of it, ``pi_0``, ``pi_c``, the ratio
+``P0' / (alpha P0)``, the tail mean and the waiting time ``W``, is computed once
+per load ``a`` and server count and shared through a bounded cache of recent
+loads, so the closed forms at one load share one walk of the recurrence and one
+evaluation of each mean; the results are unchanged bit for bit. Only
+``tail_pmf`` inside the body ``0 < k < c`` walks it afresh. Each mean is checked
+as nonnegative where it is read, and each closed form boxes its result once as
+an :class:`ExtendedReal`; every infinite result is the one :data:`INFINITY`.
+Stability is decided by the exact floating-point comparison
+``(1 - p) * alpha < c`` with no epsilon guard.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ _RESCALE_ABOVE = 1e280
 # closed forms of one curve point share a load, mean_measure's adjacent
 # intervals share an endpoint, and the driver scores its estimates at bin
 # centres among the 201 points of its analytic curves. 4096 holds every load
-# of a 2000-level grid plus its upper endpoints, at three floats each.
+# of a 2000-level grid plus its upper endpoints, at five floats each.
 _TERMS_CACHE_SIZE = 4096
 
 
@@ -150,7 +151,7 @@ class SystemParams:
         return self.alpha / self.c
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class ExtendedReal:
     """A nonnegative real or +infinity, carried as an explicit tagged value.
 
@@ -160,7 +161,8 @@ class ExtendedReal:
     ``value`` is ``math.inf`` exactly when the quantity is infinite. Use
     :attr:`finite` when a finite number is required (it raises otherwise) and
     ``float(x)`` when rendering, where infinity is acceptable. ``value`` must
-    be a real number, as every real in this package must.
+    be a real number, as every real in this package must. The class is
+    slotted, so each value is one small object with no ``__dict__``.
     """
 
     value: float
@@ -258,16 +260,21 @@ def _slope_bracket(pi: list[float], g: float) -> float:
 
 
 @functools.lru_cache(maxsize=_TERMS_CACHE_SIZE)
-def _load_terms(a: float, c: int) -> tuple[float, float, float]:
-    # (pi_0, pi_c, P0' / (alpha P0)) at load a: all any closed form reads of
-    # the occupancy, except tail_pmf in 0 < k < c.
+def _load_terms(a: float, c: int) -> tuple[float, float, float, float, float]:
+    # (pi_0, pi_c, P0' / (alpha P0), tail mean, W) at load a: all any closed
+    # form reads of the occupancy, except tail_pmf in 0 < k < c. The means are
+    # checked where they are read, so a form that reads neither cannot fail on them.
     pi = _occupancy(a, c)
-    return pi[0], pi[c], _slope_bracket(pi, 1.0 - a / c)
+    pi_c, g = pi[c], 1.0 - a / c
+    slope = _slope_bracket(pi, g)
+    # P0' / P0 enters through _slope_bracket, never as a quotient: P0 may underflow.
+    bracket = ((c + 1) - a * slope) / (c * g * g) + 2.0 * a / (c * c * g * g * g)
+    return pi[0], pi_c, slope, a + a * pi_c / (c * g * g), pi_c * bracket
 
 
 def _tail(
     params: SystemParams, p: float, strict: bool = True
-) -> tuple[float, tuple[float, float, float]] | None:
+) -> tuple[float, tuple[float, float, float, float, float]] | None:
     # The load a = (1 - p) alpha above level p, checked here, and its terms from
     # _load_terms. Where a >= c (no steady state) this raises, or returns None if not strict.
     p = _check_level(p)
@@ -287,25 +294,13 @@ def _box(value: float) -> ExtendedReal:
 def _tail_mean(params: SystemParams, p: float) -> float:
     # expected_tail_count as a checked float, inf on the unstable side.
     tail = _tail(params, p, strict=False)
-    if tail is None:
-        return math.inf
-    a, (_, pi_c, _) = tail
-    c = params.c
-    g = 1.0 - a / c
-    return _nonnegative(a + a * pi_c / (c * g * g))
+    return math.inf if tail is None else _nonnegative(tail[1][3])
 
 
 def _waiting(params: SystemParams, p: float) -> float:
     # waiting_time as a checked float, inf on the unstable side.
     tail = _tail(params, p, strict=False)
-    if tail is None:
-        return math.inf
-    a, (_, pi_c, slope) = tail
-    c = params.c
-    g = 1.0 - a / c
-    # P0' / P0 enters through _slope_bracket, never as a quotient: P0 may underflow.
-    bracket = ((c + 1) - a * slope) / (c * g * g) + 2.0 * a / (c * c * g * g * g)
-    return _nonnegative(pi_c * bracket)
+    return math.inf if tail is None else _nonnegative(tail[1][4])
 
 
 def _density(params: SystemParams, p: float) -> float:
@@ -341,7 +336,7 @@ def p0_derivative(params: SystemParams, p: float) -> float:
 
     For a single server this collapses to ``alpha`` at every stable level.
     """
-    _, (p0, _, slope) = _tail(params, p)
+    _, (p0, _, slope, _, _) = _tail(params, p)
     return p0 * params.alpha * slope
 
 
@@ -359,7 +354,7 @@ def tail_pmf(params: SystemParams, p: float, k: int) -> float:
     k = _as_int("k", k)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    a, (p0, pi_c, _) = _tail(params, p)
+    a, (p0, pi_c, _, _, _) = _tail(params, p)
     c = params.c
     if k == 0:
         return p0

@@ -191,11 +191,14 @@ class DensityAccumulator(_BinTallies):
     def add_snapshots(self, snapshots: Iterable[Snapshot]) -> "DensityAccumulator":
         """Add stored snapshots, binned in blocks of about ``_BLOCK`` entries and added at the end.
 
-        A level that is not a number in [0, 1] raises ValueError and adds nothing.
+        A level that is not a number in [0, 1], or a NaN snapshot time, raises
+        ValueError and adds nothing.
         """
         sums, block, count = np.zeros(self.grid.n_bins), [], 0
         for time, priorities in snapshots:
-            if time < self.start_time:
+            if not time >= self.start_time:
+                if time != time:  # NaN, which fails every comparison
+                    raise ValueError("snapshot times must not be NaN")
                 continue
             block.extend(priorities)
             count += 1

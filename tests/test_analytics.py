@@ -8,6 +8,7 @@ against its own implementation.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -89,6 +90,19 @@ class TestExtendedReal:
         with pytest.raises(ValueError, match="nonnegative"):
             dataclasses.replace(x, value=-1.0)
         assert repr(x) == "ExtendedReal(2.5)" and repr(INFINITY) == "ExtendedReal(inf)"
+
+    def test_is_slotted_and_survives_copies(self) -> None:
+        x = ExtendedReal(1.5)
+        assert not hasattr(x, "__dict__") and ExtendedReal.__slots__ == ("value",)
+        for value in (x, INFINITY):
+            for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+                assert type(clone) is ExtendedReal and clone == value and hash(clone) == hash(value)
+                # A restored value is as frozen and as replaceable as the original.
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    clone.value = 2.0
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    del clone.value
+                assert clone == value and dataclasses.replace(clone, value=2.0) == ExtendedReal(2.0)
 
 
 class TestStability:
@@ -505,8 +519,12 @@ class TestSharedLoadTerms:
         for k in range(c + 3):
             assert tail_pmf(params, p, k) == pytest.approx(pi[k], rel=1e-12, abs=1e-300)
 
-    def test_entries_are_three_floats_and_bounded(self) -> None:
+    def test_entries_are_five_floats_and_bounded(self) -> None:
         terms = analytics._load_terms(1500.0, 2000)
-        assert len(terms) == 3 and all(type(t) is float for t in terms)
+        assert len(terms) == 5 and all(type(t) is float for t in terms)
+        # The last two are the finished means at that load: level 0 of alpha = 1500.
+        params = SystemParams(1500.0, 2000)
+        means = [_uncached(params, name, 0.0, None) for name in ("expected_tail_count", "waiting_time")]
+        assert list(terms[3:]) == means
         maxsize = analytics._load_terms.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize < 100_000

@@ -182,6 +182,15 @@ class TestDensityEstimation:
         assert curve.values[0] == ExtendedReal(3.0)
         assert curve.values[1] == ExtendedReal(0.0)
 
+    def test_refuses_a_nan_snapshot_time(self) -> None:
+        # As add_trace refuses a NaN arrival time; nothing is added, not even a kept snapshot before it.
+        acc = DensityAccumulator(BinGrid(0.5), 1.0)
+        nan_first = [Snapshot(math.nan, (0.2,)), Snapshot(0.5, (0.7,))]
+        for snaps in (nan_first, [Snapshot(2.0, (0.7,)), Snapshot(math.nan, ())]):
+            with pytest.raises(ValueError, match="NaN"):
+                acc.add_snapshots(snaps)
+        assert acc.snapshot_count == 0 and acc.curve().values == (None, None)
+
     def test_no_snapshots_give_no_data_in_every_bin(self) -> None:
         acc = DensityAccumulator(BinGrid(0.25), start_time=1.0)
         acc.add_snapshots([Snapshot(0.5, (0.1, 0.6))])
