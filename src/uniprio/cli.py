@@ -101,6 +101,10 @@ class ExperimentConfig:
     grid: BinGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, SystemParams):
+            raise ValueError(f"params must be a SystemParams, got {self.params!r}")
+        if not isinstance(self.censored_policy, CensoredPolicy):
+            raise ValueError(f"censored_policy must be a CensoredPolicy, got {self.censored_policy!r}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from .analytics import SystemParams, _as_int, _as_real
@@ -127,6 +127,8 @@ class SimConfig:
     record_snapshots: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, SystemParams):
+            raise ValueError(f"params must be a SystemParams, got {self.params!r}")
         object.__setattr__(self, "horizon", _as_real("horizon", self.horizon))
         if not math.isfinite(self.horizon) or self.horizon < 0.0:
             raise ValueError(f"horizon must be finite and nonnegative, got {self.horizon}")
@@ -143,9 +145,10 @@ class SimTrace:
     customer id, one per :class:`CustomerRecord` field after ``customer_id``,
     with NaN for a missing time (in a simulated trace, ``service_time`` is NaN
     exactly where ``departure_time`` is; a built one may keep a censored
-    customer's). A read-only float64 array that owns its data is taken as it
-    is and another is copied; other columns meet the real rule once, None as
-    NaN in the last three only. Level ranges are checked when binning.
+    customer's). Every column given is copied; one that is not a float64 array
+    meets the real rule once, None as NaN in the last three only. Level ranges
+    are checked when binning. This is the one trace type of the CSV layer:
+    both writers take one, and :func:`read_trace_csv` gives one back.
     :attr:`records` (None for a missing time) and :attr:`snapshots` are built
     on first read; ``len(trace)``, :attr:`final_population` and
     :attr:`event_count` need neither.
@@ -169,9 +172,7 @@ class SimTrace:
                 if not set(map(type, column)) <= ({float, type(None)} if k > 1 else {float}):
                     rule = "priority level" if k == 0 else name
                     column = [math.nan if x is None and k > 1 else _as_real(rule, x) for x in column]
-                column = np.array(column, dtype=np.float64)
-            elif column.flags.writeable or not column.flags.owndata:
-                column = column.copy()  # the caller may still write to it
+            column = np.array(column, dtype=np.float64)  # a copy: the caller may still write to its own
             column.flags.writeable = False
             object.__setattr__(self, name, column)
             if len(column) != len(self.priority):
@@ -195,8 +196,6 @@ class SimTrace:
         """A run's trace from its lists; ``served`` is ``service_time`` where ``departed`` is set."""
         columns = [np.array(c, dtype=np.float64) for c in (priority, arrival, entered, departed, served)]
         columns[4][np.isnan(columns[3])] = np.nan
-        for column in columns:
-            column.flags.writeable = False  # so the trace takes it without a copy
         trace = cls(*columns)
         if not config.record_snapshots:
             vars(trace)["snapshots"] = ()
@@ -401,16 +400,8 @@ def _cells(column: Sequence[float | None] | np.ndarray) -> tuple[str, ...]:
     return tuple(repr(values)[1:-1].replace("nan", "").split(", "))
 
 
-def _transposed(trace_or_records: SimTrace | Iterable[CustomerRecord]) -> tuple[Sequence[int], SimTrace]:
-    """The customer ids and the trace; records are made a trace, and their ids kept for messages."""
-    if isinstance(trace_or_records, SimTrace):
-        return range(len(trace_or_records)), trace_or_records
-    ids, *fields = tuple(zip(*trace_or_records)) or ((),) * 6  # no record gives six empty columns
-    return ids, SimTrace(*fields)
-
-
-def write_trace_csv(trace_or_records: SimTrace | Iterable[CustomerRecord], path) -> None:
-    """Write a trace's customers, or records made a trace, one row each; empty cells mark missing times.
+def write_trace_csv(trace: SimTrace, path) -> None:
+    """Write a trace's customers, one row each, numbered by id; empty cells mark missing times.
 
     Each real prints as ``repr(float(x))``, so numpy floats print as Python
     floats do. Each column is formatted once, by :func:`_cells`; a trace's
@@ -420,14 +411,13 @@ def write_trace_csv(trace_or_records: SimTrace | Iterable[CustomerRecord], path)
     are formatted directly in ``csv.writer``'s excel dialect: no cell (an
     integer, a float repr or empty) ever needs quoting.
     """
-    ids, trace = _transposed(trace_or_records)
     # Most customers enter service on arrival: only the other entry times are formatted.
     entered = trace.last_service_entry
     elsewhere = entered.view(np.int64) != trace.arrival_time.view(np.int64)
     entry = np.array(trace._arrival_texts, dtype=object)
     entry[elsewhere] = _cells(entered[elsewhere])
     rows = zip(
-        ids,
+        range(len(trace)),
         trace._priority_texts,
         trace._arrival_texts,
         entry,
@@ -444,38 +434,32 @@ def _real(cell: str) -> float | None:
     return float(cell) if cell else None
 
 
-def read_trace_csv(path) -> tuple[CustomerRecord, ...]:
-    """Parse a file written by :func:`write_trace_csv`, exactly round-tripping."""
-    optional = CustomerRecord._fields[3:]  # the times that may be missing
-    with open(path, newline="") as handle:
-        return tuple(
-            CustomerRecord(
-                int(row["customer_id"]),
-                float(row["priority"]),
-                float(row["arrival_time"]),
-                *(_real(row[name]) for name in optional),
-            )
-            for row in csv.DictReader(handle)
-        )
+def read_trace_csv(path) -> SimTrace:
+    """The trace a file written by :func:`write_trace_csv` holds, every column bit for bit.
 
-
-def write_snapshots_csv(trace_or_snapshots: SimTrace | Iterable[Snapshot], path) -> None:
-    """Write per-arrival snapshots, or a trace's; priorities are semicolon-joined, ascending.
-
-    Cells print as in :func:`write_trace_csv`. A trace's rows come from the
-    walk that builds :attr:`SimTrace.snapshots`, over its cached priority and
-    arrival texts, without building the view; a trace without snapshots
-    formats nothing. Each plain snapshot is one :func:`_cells` call. Rows are
-    formatted directly: a float repr holds no comma, quote or line break, so
-    ``csv.writer`` would quote nothing either.
+    Cells are read by header name, each by :func:`_real`, and the columns meet
+    :class:`SimTrace`'s value rules. ``customer_id``s other than 0, 1, ... in
+    order raise ValueError: the writer numbers rows so.
     """
-    if not isinstance(trace_or_snapshots, SimTrace):
-        texts = (_cells((time, *priorities)) for time, priorities in trace_or_snapshots)
-        rows = ((cells[0], cells[1:]) for cells in texts)
-    elif vars(trace_or_snapshots).get("snapshots") == ():  # not stored, or no arrival
+    with open(path, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    if [int(row["customer_id"]) for row in rows] != list(range(len(rows))):
+        raise ValueError(f"customer ids in {path} do not count 0, 1, ... in order")
+    return SimTrace(*([_real(row[name]) for row in rows] for name in CustomerRecord._fields[1:]))
+
+
+def write_snapshots_csv(trace: SimTrace, path) -> None:
+    """Write a trace's per-arrival snapshots; priorities are semicolon-joined, ascending.
+
+    Cells print as in :func:`write_trace_csv`. Rows come from the walk that
+    builds :attr:`SimTrace.snapshots`, over the trace's cached priority and
+    arrival texts, without building the view; a trace without snapshots
+    formats nothing. Rows are formatted directly: a float repr holds no comma,
+    quote or line break, so ``csv.writer`` would quote nothing either.
+    """
+    if vars(trace).get("snapshots") == ():  # not stored, or no arrival
         rows = ()
     else:
-        trace = trace_or_snapshots
         rows = zip(trace._arrival_texts, trace._walk(trace._priority_texts))
     with open(path, "w", newline="") as handle:
         handle.write("snapshot_time,priorities\r\n")

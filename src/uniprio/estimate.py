@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import INFINITY, ExtendedReal, _as_real, _check_level
-from .des import CustomerRecord, SimTrace, Snapshot, _cells, _real, _transposed
+from .des import CustomerRecord, SimTrace, Snapshot, _cells, _real
 
 __all__ = [
     "BinGrid",
@@ -191,11 +191,12 @@ class DensityAccumulator(_BinTallies):
     def add_snapshots(self, snapshots: Iterable[Snapshot]) -> "DensityAccumulator":
         """Add stored snapshots, binned in blocks of about ``_BLOCK`` entries and added at the end.
 
-        A level that is not a number in [0, 1], or a NaN snapshot time, raises
-        ValueError and adds nothing.
+        A level that is not a number in [0, 1], or a snapshot time that is not
+        a number or is NaN, raises ValueError and adds nothing.
         """
         sums, block, count = np.zeros(self.grid.n_bins), [], 0
         for time, priorities in snapshots:
+            time = _as_real("snapshot time", time)
             if not time >= self.start_time:
                 if time != time:  # NaN, which fails every comparison
                     raise ValueError("snapshot times must not be NaN")
@@ -242,18 +243,23 @@ class RecordBinStats(_BinTallies):
         """Tally customers whose arrival is at or after ``start_time``.
 
         A trace hands over its columns; records are made a trace first, which
-        refuses a field that is not a number, whatever its arrival. Every
-        customer to be tallied is then checked, and a fault raises ValueError
-        and changes no tally: first any priority outside [0, 1], then any
-        arrival that is not finite, departure that is not finite or precedes
-        its arrival, or departure without a service entry or with a service
-        time that is missing or outside [0, sojourn].
+        refuses a field that is not a number, whatever its arrival, and their
+        own ids name them in messages. Every customer to be tallied is then
+        checked, and a fault raises ValueError and changes no tally: first any
+        priority outside [0, 1], then any arrival that is not finite,
+        departure that is not finite or precedes its arrival, or departure
+        without a service entry or with a service time that is missing or
+        outside [0, sojourn].
 
         Each tally is one ``np.bincount``, which adds in input order, so one
         call on a fresh instance sums exactly as a loop over the customers
         would. Further calls add their per-call sums, as :meth:`merge` would.
         """
-        ids, trace = _transposed(trace_or_records)
+        if isinstance(trace_or_records, SimTrace):
+            ids, trace = range(len(trace_or_records)), trace_or_records
+        else:  # no record gives six empty columns
+            ids, *fields = tuple(zip(*trace_or_records)) or ((),) * 6
+            trace = SimTrace(*fields)
         arrival, departure = trace.arrival_time, trace.departure_time
         kept = ~(arrival < self.start_time)
         bins = self.grid.indices(trace.priority, kept)
@@ -319,9 +325,10 @@ def write_points_csv(points: Iterable[float], values: Iterable[ExtendedReal | No
     """One ``p,value`` row per point; infinity renders as ``inf``, no data as empty.
 
     Each real prints as ``repr(float(x))``, so numpy floats print as Python
-    floats do. Unequal lengths raise ValueError before the file is opened.
+    floats do. A point that is not a number, or unequal lengths, raise
+    ValueError before the file is opened.
     """
-    _write_rows(_cells(list(points)), values, path)
+    _write_rows(_cells([_as_real("point", p) for p in points]), values, path)
 
 
 def write_curve_csv(curve: CurveEstimate, path) -> None:

@@ -90,6 +90,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{name} must be a number"):
             tiny_config(tmp_path, **{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value", [("censored_policy", "infinite"), ("censored_policy", None), ("params", (1.5, 2))]
+    )
+    def test_rejects_mistyped_policy_and_params(self, tmp_path, name, value) -> None:
+        # Unrefused, a string policy is tallied as EXCLUDE and fails only after the files are written.
+        with pytest.raises(ValueError, match=f"{name} must be a"):
+            tiny_config(tmp_path / "never", **{name: value})
+        assert not (tmp_path / "never").exists()
+
     @pytest.mark.parametrize("output_dir", [5, None])
     def test_rejects_non_path_output_dir(self, output_dir) -> None:
         with pytest.raises(ValueError, match="output_dir must be a path"):

@@ -62,6 +62,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             SimConfig(PARAMS, 10.0, np.int64(-2))
 
+    @pytest.mark.parametrize("params", [(1.5, 2), None])
+    def test_rejects_params_that_are_not_system_params(self, params) -> None:
+        # Unrefused, a tuple fails only inside simulate, reading params.alpha.
+        with pytest.raises(ValueError, match="params must be a SystemParams"):
+            SimConfig(params, 10.0, 1)
+
 
 class TestTraceShape:
     def test_zero_horizon_is_empty(self) -> None:
@@ -361,18 +367,6 @@ class TestGoldenDigests:
         GOLDEN_DIGESTS,
         ids=[f"{alpha}-{c}-{horizon}-{seed}" for alpha, c, horizon, seed, _ in GOLDEN_DIGESTS],
     )
-    def test_csv_bytes_are_pinned(self, tmp_path, alpha, c, horizon, seed, digest) -> None:
-        trace = simulate(SimConfig(SystemParams(alpha, c), horizon, seed))
-        write_trace_csv(trace.records, tmp_path / "trace.csv")
-        write_snapshots_csv(trace.snapshots, tmp_path / "snaps.csv")
-        data = (tmp_path / "trace.csv").read_bytes() + (tmp_path / "snaps.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "alpha, c, horizon, seed, digest",
-        GOLDEN_DIGESTS,
-        ids=[f"{alpha}-{c}-{horizon}-{seed}" for alpha, c, horizon, seed, _ in GOLDEN_DIGESTS],
-    )
     def test_csv_bytes_are_pinned_from_the_trace(self, tmp_path, alpha, c, horizon, seed, digest) -> None:
         trace = simulate(SimConfig(SystemParams(alpha, c), horizon, seed))
         write_trace_csv(trace, tmp_path / "trace.csv")
@@ -511,6 +505,11 @@ def _columns(trace: SimTrace) -> list[np.ndarray]:
     return [getattr(trace, name) for name in CustomerRecord._fields[1:]]
 
 
+def _same_columns(a: SimTrace, b: SimTrace) -> bool:
+    """Whether two traces hold the same columns, bit for bit."""
+    return [c.tobytes() for c in _columns(a)] == [c.tobytes() for c in _columns(b)]
+
+
 class TestColumnarTrace:
     # Overloaded, so the horizon leaves censored customers.
     CONFIG = SimConfig(SystemParams(5.0, 2), 30.0, 43)
@@ -553,11 +552,10 @@ class TestColumnarTrace:
     def test_trace_and_records_write_the_same_bytes(self, tmp_path) -> None:
         trace = simulate(self.CONFIG)
         assert any(r.is_censored for r in trace.records)
-        write_trace_csv(trace, tmp_path / "from_trace.csv")
-        write_trace_csv(trace.records, tmp_path / "from_records.csv")
-        data = (tmp_path / "from_trace.csv").read_bytes()
-        assert data == (tmp_path / "from_records.csv").read_bytes()
-        assert read_trace_csv(tmp_path / "from_trace.csv") == trace.records
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == _csv_module_trace(trace.records)
+        back = read_trace_csv(tmp_path / "trace.csv")
+        assert back.records == trace.records and _same_columns(back, trace)
 
 
 class TestTraceConstruction:
@@ -598,16 +596,17 @@ class TestTraceConstruction:
         assert [tuple(map(repr, r[1:])) for r in trace.records] == [("-0.0",) * 5, ("0.0",) * 5]
         assert [repr(s.time) for s in trace.snapshots] == ["-0.0", "0.0"]
 
-    def test_given_columns_are_copied_unless_read_only(self) -> None:
+    def test_given_columns_are_copied(self) -> None:
+        # Read-only or not: a column's owner may make it writeable again.
         given = [np.array(c, dtype=np.float64) for c in self.COLUMNS]
         given[1].flags.writeable = False
         trace = SimTrace(*given)
-        assert trace.arrival_time is given[1] and trace.priority is not given[0]
+        for column, own in zip(_columns(trace), given):
+            assert not np.shares_memory(column, own)
         given[0][0] = 0.75
-        assert trace.priority.tolist() == [0.25, -0.0]
-        view = np.array(self.COLUMNS[0])[:]
-        view.flags.writeable = False
-        assert SimTrace(view, *given[1:]).priority is not view
+        given[1].flags.writeable = True
+        given[1][0] = 0.75
+        assert trace.priority.tolist() == [0.25, -0.0] and trace.arrival_time.tolist() == [0.0, 1.0]
 
     def test_columns_of_unequal_lengths_are_refused(self) -> None:
         with pytest.raises(ValueError, match="arrival_time has 1 entries, priority has 2"):
@@ -629,60 +628,94 @@ class TestCsvRoundTrip:
     def test_trace(self, tmp_path) -> None:
         trace = simulate(SimConfig(PARAMS, 200.0, 41))
         path = tmp_path / "trace.csv"
-        write_trace_csv(trace.records, path)
-        assert read_trace_csv(path) == trace.records
+        write_trace_csv(trace, path)
+        back = read_trace_csv(path)
+        assert type(back) is SimTrace and _same_columns(back, trace)
+        assert back.records == trace.records
 
     def test_snapshots(self, tmp_path) -> None:
         trace = simulate(SimConfig(PARAMS, 200.0, 41))
         path = tmp_path / "snaps.csv"
-        write_snapshots_csv(trace.snapshots, path)
+        write_snapshots_csv(trace, path)
         assert read_snapshots_csv(path) == trace.snapshots
 
     def test_signed_zeros_keep_their_signs(self, tmp_path) -> None:
-        path = tmp_path / "snaps.csv"
-        write_snapshots_csv([Snapshot(1.0, (-0.0, 0.0, 0.0, -0.0))], path)
-        assert path.read_bytes() == b"snapshot_time,priorities\r\n1.0,-0.0;0.0;0.0;-0.0\r\n"
+        trace = SimTrace((-0.0, 0.0, 0.0, -0.0, 0.5), (0.0, 0.25, 0.5, 0.75, 1.0), *[(None,) * 5] * 3)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_snapshots_csv(trace, tmp_path / "snaps.csv")
+        assert (tmp_path / "snaps.csv").read_bytes() == (
+            b"snapshot_time,priorities\r\n0.0,\r\n0.25,-0.0\r\n0.5,-0.0;0.0\r\n"
+            b"0.75,-0.0;0.0;0.0\r\n1.0,-0.0;0.0;0.0;-0.0\r\n"
+        )
+        back = read_trace_csv(tmp_path / "trace.csv")
+        assert np.signbit(back.priority).tolist() == [True, False, False, True, False]
+        assert _same_columns(back, trace)
 
     def test_empty_snapshot_round_trips(self, tmp_path) -> None:
-        snaps = (Snapshot(0.5, (0.25,)), Snapshot(2.0, ()), Snapshot(3.0, (0.25, 0.75)))
+        # Customers 0 and 1 have both left when customer 2 arrives at 2.0.
+        trace = SimTrace(
+            (0.25, 0.5, 0.75, 0.25, 0.5), (0.0, 0.5, 2.0, 2.5, 3.0), (0.0, 0.5, 2.0, 2.5, 3.0),
+            (1.0, 1.5, None, None, None), (1.0, 1.0, None, None, None),
+        )
+        assert trace.snapshots[1:] == (
+            Snapshot(0.5, (0.25,)), Snapshot(2.0, ()), Snapshot(2.5, (0.75,)), Snapshot(3.0, (0.25, 0.75))
+        )
         path = tmp_path / "snaps.csv"
-        write_snapshots_csv(snaps, path)
-        assert read_snapshots_csv(path) == snaps
+        write_snapshots_csv(trace, path)
+        assert read_snapshots_csv(path) == trace.snapshots
 
     def test_bytes_match_csv_module(self, tmp_path) -> None:
         # Overloaded, so the horizon leaves censored rows with empty cells.
         trace = simulate(SimConfig(SystemParams(5.0, 2), 30.0, 43))
         assert any(r.is_censored for r in trace.records)
-        write_trace_csv(trace.records, tmp_path / "trace.csv")
-        write_snapshots_csv(trace.snapshots, tmp_path / "snaps.csv")
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_snapshots_csv(trace, tmp_path / "snaps.csv")
         assert (tmp_path / "trace.csv").read_bytes() == _csv_module_trace(trace.records)
         assert (tmp_path / "snaps.csv").read_bytes() == _csv_module_snapshots(trace.snapshots)
 
     def test_optional_cells_round_trip(self, tmp_path) -> None:
         # Empty, infinite, negative zero and numpy-float cells in each optional column.
         cells = [None, math.inf, -0.0, np.float64(0.1), np.float32(0.5)]
-        records = [CustomerRecord(i, 0.5, 1.0, *(cells[(i + j) % 5] for j in range(3))) for i in range(5)]
-        write_trace_csv(records, tmp_path / "trace.csv")
+        optional = [[cells[(i + j) % 5] for i in range(5)] for j in range(3)]
+        trace = SimTrace((0.5,) * 5, (1.0,) * 5, *optional)
+        write_trace_csv(trace, tmp_path / "trace.csv")
         back = read_trace_csv(tmp_path / "trace.csv")
-        expected = [(r[0], *(None if v is None else float(v) for v in r[1:])) for r in records]
-        assert [tuple(map(repr, r)) for r in back] == [tuple(map(repr, r)) for r in expected]
-        assert {type(v) for r in back for v in r[3:]} == {float, type(None)}
+        assert _same_columns(back, trace)
+        times = [[None if v is None else float(v) for v in row] for row in zip(*optional)]
+        expected = [(i, 0.5, 1.0, *row) for i, row in enumerate(times)]
+        assert [tuple(map(repr, r)) for r in back.records] == [tuple(map(repr, r)) for r in expected]
+        assert {type(v) for r in back.records for v in r[3:]} == {float, type(None)}
 
     def test_numpy_floats_write_as_python_floats(self, tmp_path) -> None:
         # Under numpy 2 the repr of np.float64(0.5) is "np.float64(0.5)".
         records = (CustomerRecord(0, 0.25, 0.5, 0.5, 2.0, 1.5), CustomerRecord(1, 0.75, 1.0, None, None, None))
-        as_numpy = [
-            CustomerRecord(r[0], *(None if v is None else np.float64(v) for v in r[1:])) for r in records
-        ]
+        fields = list(zip(*records))[1:]
+        as_numpy = SimTrace(*([None if v is None else np.float64(v) for v in field] for field in fields))
         snaps = (Snapshot(0.5, ()), Snapshot(1.0, (0.25,)))
         write_trace_csv(as_numpy, tmp_path / "trace.csv")
-        write_snapshots_csv(
-            [Snapshot(np.float64(t), tuple(map(np.float64, q))) for t, q in snaps], tmp_path / "snaps.csv"
-        )
+        write_snapshots_csv(as_numpy, tmp_path / "snaps.csv")
         assert (tmp_path / "trace.csv").read_bytes() == _csv_module_trace(records)
         assert (tmp_path / "snaps.csv").read_bytes() == _csv_module_snapshots(snaps)
-        assert read_trace_csv(tmp_path / "trace.csv") == records
+        assert read_trace_csv(tmp_path / "trace.csv").records == records
         assert read_snapshots_csv(tmp_path / "snaps.csv") == snaps
+
+    def test_writers_take_a_trace_only(self, tmp_path) -> None:
+        trace = simulate(SimConfig(PARAMS, 20.0, 41))
+        with pytest.raises(AttributeError):
+            write_trace_csv(trace.records, tmp_path / "trace.csv")
+        with pytest.raises(TypeError):
+            write_snapshots_csv(list(trace.snapshots), tmp_path / "snaps.csv")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("ids", ["1,0", "0,2", "1,2"])
+    def test_ids_out_of_order_are_refused(self, tmp_path, ids) -> None:
+        path = tmp_path / "trace.csv"
+        write_trace_csv(SimTrace((0.25, 0.5), (0.0, 1.0), *[(None, None)] * 3), path)
+        header, *rows = path.read_text().splitlines()
+        rows = [f"{i},{row.partition(',')[2]}" for i, row in zip(ids.split(","), rows)]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match="customer ids"):
+            read_trace_csv(path)
 
 
 def _csv_module_trace(records) -> bytes:
@@ -710,23 +743,22 @@ class TestSharedCellTexts:
 
     @staticmethod
     def written(tmp_path, trace) -> tuple[bytes, bytes]:
-        """The trace and snapshot files written from the trace, checked against
-        the ones written from its records and snapshots."""
+        """The trace and snapshot files written from the trace, checked against what
+        ``csv.writer`` writes for its records and snapshots; the trace read back
+        from its file writes that file again."""
         write_trace_csv(trace, tmp_path / "trace.csv")
         write_snapshots_csv(trace, tmp_path / "snaps.csv")
-        write_trace_csv(trace.records, tmp_path / "records.csv")
-        write_snapshots_csv(trace.snapshots, tmp_path / "snapshots.csv")
         data = (tmp_path / "trace.csv").read_bytes(), (tmp_path / "snaps.csv").read_bytes()
-        assert data == ((tmp_path / "records.csv").read_bytes(), (tmp_path / "snapshots.csv").read_bytes())
+        assert data == (_csv_module_trace(trace.records), _csv_module_snapshots(trace.snapshots))
+        write_trace_csv(read_trace_csv(tmp_path / "trace.csv"), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == data[0]
         return data
 
     def test_signed_zero_levels_keep_their_own_texts(self, tmp_path) -> None:
         quantile = lambda u: math.copysign(0.0, u - 0.5)  # noqa: E731
         trace = simulate(SimConfig(SystemParams(3.0, 2), 40.0, 7, priority_quantile=quantile))
         assert {repr(p) for p in trace.priority.tolist()} == {"-0.0", "0.0"}
-        trace_csv, snaps_csv = self.written(tmp_path, trace)
-        assert trace_csv == _csv_module_trace(trace.records)
-        assert snaps_csv == _csv_module_snapshots(trace.snapshots)
+        _, snaps_csv = self.written(tmp_path, trace)
         assert b"-0.0;0.0" in snaps_csv or b"0.0;-0.0" in snaps_csv
         back = read_snapshots_csv(tmp_path / "snaps.csv")
         assert [tuple(map(repr, s.priorities)) for s in back] == [
@@ -739,9 +771,7 @@ class TestSharedCellTexts:
         assert any(r.is_censored and r.last_service_entry is not None for r in trace.records)
         # Entries at a departure instant, not at the customer's own arrival.
         assert any(r.last_service_entry not in (None, r.arrival_time) for r in trace.records)
-        trace_csv, snaps_csv = self.written(tmp_path, trace)
-        assert trace_csv == _csv_module_trace(trace.records)
-        assert snaps_csv == _csv_module_snapshots(trace.snapshots)
+        self.written(tmp_path, trace)
 
     def test_empty_trace_writes_headers_only(self, tmp_path) -> None:
         trace = simulate(SimConfig(PARAMS, 0.0, 1))
@@ -773,21 +803,8 @@ class TestSharedCellTexts:
             service_time=(3.0, 2.5, None),
         )
         trace_csv, snaps_csv = self.written(tmp_path, trace)
-        assert trace_csv == _csv_module_trace(trace.records)
-        assert snaps_csv == _csv_module_snapshots(trace.snapshots)
         assert b"\r\n0,0.25,0.0,-0.0,3.0,3.0\r\n1,-0.0,1.0,1.5,4.0,2.5\r\n" in trace_csv
         assert snaps_csv.endswith(b"\r\n0.0,\r\n1.0,0.25\r\n2.0,-0.0;0.25\r\n")
-        # Plain snapshots may hold times of no arrival and levels of no customer.
-        snaps = (
-            Snapshot(-0.0, ()),
-            Snapshot(0.5, (0.25,)),
-            Snapshot(1.0, (0.0, 0.25, 0.5)),
-            Snapshot(2.5, (-0.0, 0.25)),
-        )
-        write_snapshots_csv(snaps, tmp_path / "plain.csv")
-        plain = (tmp_path / "plain.csv").read_bytes()
-        assert plain == _csv_module_snapshots(snaps)
-        assert plain.endswith(b"\r\n-0.0,\r\n0.5,0.25\r\n1.0,0.0;0.25;0.5\r\n2.5,-0.0;0.25\r\n")
 
 
 def test_single_server_mean_population_is_plausible() -> None:

@@ -544,8 +544,9 @@ class TestDelayEstimation:
         with pytest.raises(ValueError, match=f"{field} must be a number"):
             stats.add([bad])
         assert tallies(stats) == ([0, 0], [0, 0], [0.0, 0.0], [0.0, 0.0])
+        # Nor does a trace of them reach a file.
         with pytest.raises(ValueError, match=f"{field} must be a number"):
-            write_trace_csv([bad], tmp_path / "trace.csv")
+            write_trace_csv(SimTrace(*([v] for v in bad[1:])), tmp_path / "trace.csv")
         assert not (tmp_path / "trace.csv").exists()
 
     def test_merge_equals_single_pass(self) -> None:

@@ -7,6 +7,7 @@ value must give what the same Python value gives, of the same type.
 
 from __future__ import annotations
 
+import tempfile
 from operator import attrgetter
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from uniprio.analytics import ExtendedReal, SystemParams, is_stable, mean_measure, p0_mass, tail_pmf
 from uniprio.cli import _DEFAULTS, ExperimentConfig, build_config
 from uniprio.des import SimConfig, SimTrace, Snapshot
-from uniprio.estimate import BinGrid, DensityAccumulator, RecordBinStats
+from uniprio.estimate import BinGrid, DensityAccumulator, RecordBinStats, write_points_csv
 
 PARAMS = SystemParams(1.5, 2)
 GRID = BinGrid(0.5)
@@ -31,6 +32,14 @@ def experiment(name: str):
 def two_customers(level) -> SimTrace:
     """A trace whose second customer has priority ``level``."""
     return SimTrace((0.25, level), (0.0, 1.0), (0.0, 1.0), (2.0, 3.0), (2.0, 2.0))
+
+
+def points_file(point) -> str:
+    """The text ``write_points_csv`` writes for the points 0.25 and ``point``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "points.csv"
+        write_points_csv([0.25, point], [None, None], path)
+        return path.read_text()
 
 
 def setting(key: str, field: str):
@@ -69,6 +78,7 @@ REAL_SITES = [
         for name in ("horizon", "delta", "warmup_fraction")
     ),
     pytest.param("delta", lambda v: BinGrid(v).delta, id="BinGrid.delta"),
+    pytest.param("point", points_file, id="write_points_csv"),
     pytest.param("priority level", lambda v: p0_mass(PARAMS, v), id="p0_mass.p"),
     pytest.param("priority level", lambda v: mean_measure(PARAMS, v, 1.0), id="mean_measure.a"),
     pytest.param("priority level", lambda v: is_stable(PARAMS, v), id="is_stable.p"),
@@ -84,6 +94,11 @@ REAL_SITES = [
         "priority level",
         lambda v: DensityAccumulator(GRID).add_snapshots([Snapshot(0.0, (0.25, v))]).curve(),
         id="DensityAccumulator.add_snapshots",
+    ),
+    pytest.param(
+        "snapshot time",
+        lambda v: DensityAccumulator(GRID).add_snapshots([Snapshot(v, (0.25,))]).curve(),
+        id="DensityAccumulator.add_snapshots.time",
     ),
     pytest.param(
         "priority level",
