@@ -13,20 +13,24 @@ Observables follow the arrivals-see-time-averages route: the snapshot of an
 arrival is the sorted multiset of priorities present just before it joins.
 The event loop stores none of them: a trace's columns fix every snapshot. One
 walk over the arrivals, which places each customer by its rank in (level,
-arrival) order, builds :attr:`SimTrace.snapshots` on first read and writes a
-trace's snapshot file.
+arrival) order, builds the snapshots on first element access and writes a
+trace's snapshot file. :attr:`SimTrace.records` and :attr:`SimTrace.snapshots`
+are read-only views, not tuples (unhashable, and ``isinstance(view, tuple)``
+is false), which both reductions take back to the trace's columns unbuilt.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import weakref
 from bisect import bisect_left, insort
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
 from .analytics import SystemParams, _as_int, _as_real
@@ -149,9 +153,12 @@ class SimTrace:
     meets the real rule once, None as NaN in the last three only. Level ranges
     are checked when binning. This is the one trace type of the CSV layer:
     both writers take one, and :func:`read_trace_csv` gives one back.
-    :attr:`records` (None for a missing time) and :attr:`snapshots` are built
-    on first read; ``len(trace)``, :attr:`final_population` and
-    :attr:`event_count` need neither.
+    :attr:`records` (None for a missing time) and :attr:`snapshots` are
+    read-only views of one entry per customer, not tuples: they have no hash
+    and ``isinstance(view, tuple)`` is false. Each equals the tuple it stands
+    for, which is built on first element access and cached on the trace; a
+    slice is a plain tuple. ``len`` of a view, ``len(trace)``,
+    :attr:`final_population` and :attr:`event_count` build nothing.
 
     >>> trace = SimTrace((0.5,), (1.0,), (None,), (None,), (None,))
     >>> trace.final_population, trace.records[0].departure_time is None
@@ -181,6 +188,10 @@ class SimTrace:
     def __len__(self) -> int:
         return len(self.arrival_time)
 
+    def __getstate__(self) -> dict:
+        # A view's weak reference does not pickle; the next read makes a new view.
+        return {k: v for k, v in vars(self).items() if not isinstance(v, weakref.ref)}
+
     @property
     def final_population(self) -> int:
         """Customers in system when the horizon cut the run off: the censored ones."""
@@ -193,16 +204,45 @@ class SimTrace:
 
     @classmethod
     def _of_run(cls, config: SimConfig, priority, arrival, entered, departed, served) -> SimTrace:
-        """A run's trace from its lists; ``served`` is ``service_time`` where ``departed`` is set."""
+        """A run's trace from its lists, each converted to float64 once: a run's own
+        floats need no check and its arrays no copy. ``served`` is ``service_time``
+        where ``departed`` is set."""
         columns = [np.array(c, dtype=np.float64) for c in (priority, arrival, entered, departed, served)]
         columns[4][np.isnan(columns[3])] = np.nan
-        trace = cls(*columns)
+        trace = cls.__new__(cls)
+        for name, column in zip(CustomerRecord._fields[1:], columns):
+            column.flags.writeable = False
+            object.__setattr__(trace, name, column)
         if not config.record_snapshots:
-            vars(trace)["snapshots"] = ()
+            vars(trace)["_snapshot_tuple"] = ()
         return trace
 
+    def _view(self, kind: type[_TraceView]) -> _TraceView:
+        """The trace's live view of ``kind``, or a new one. The trace keeps it by weak
+        reference only: a view holds its trace, and a cycle would wait for the collector."""
+        ref = vars(self).get(kind.__name__)
+        view = None if ref is None else ref()
+        if view is None:
+            view = kind(self)
+            vars(self)[kind.__name__] = weakref.ref(view)
+        return view
+
+    @property
+    def records(self) -> Sequence[CustomerRecord]:
+        """Each customer's :class:`CustomerRecord`, by id, as a view."""
+        return self._view(_Records)
+
+    @property
+    def snapshots(self) -> Sequence[Snapshot]:
+        """Every arrival's snapshot, as a view: levels ascending, equal ones by arrival.
+        A trace simulated with ``record_snapshots=False`` gives ``()``."""
+        if vars(self).get("_snapshot_tuple") == ():  # none kept, or no arrival
+            return ()
+        self._snapshot_ends  # times the snapshot rule cannot read raise here, not at first access
+        return self._view(_Snapshots)
+
     @cached_property
-    def records(self) -> tuple[CustomerRecord, ...]:
+    def _record_tuple(self) -> tuple[CustomerRecord, ...]:
         times = self.last_service_entry, self.departure_time, self.service_time
         optional = [column.tolist() for column in times]
         for k, i in np.argwhere(np.isnan(times)).tolist():
@@ -210,6 +250,7 @@ class SimTrace:
         columns = range(len(self)), self.priority.tolist(), self.arrival_time.tolist(), *optional
         return tuple(map(CustomerRecord._make, zip(*columns)))
 
+    @cached_property
     def _snapshot_ends(self) -> np.ndarray:
         """Per customer ``i``, the end ``hi`` of the snapshots ``i + 1 .. hi - 1`` it is in.
 
@@ -233,7 +274,7 @@ class SimTrace:
         n = len(self)
         rank = np.empty(n, dtype=np.intp)
         rank[np.argsort(self.priority, kind="stable")] = np.arange(n)
-        ends = self._snapshot_ends()
+        ends = self._snapshot_ends
         leavers = rank[np.argsort(ends, kind="stable")].tolist()
         left = np.cumsum(np.bincount(ends, minlength=n + 1)).tolist()
         return rank.tolist(), leavers, left
@@ -255,11 +296,10 @@ class SimTrace:
             shown.insert(at, value)
 
     @cached_property
-    def snapshots(self) -> tuple[Snapshot, ...]:
-        """Every arrival's snapshot, built on first read: levels ascending, equal ones by arrival."""
-        views = map(tuple, self._walk(self.priority.tolist()))
+    def _snapshot_tuple(self) -> tuple[Snapshot, ...]:
+        levels = map(tuple, self._walk(self.priority.tolist()))
         # Snapshot._make without a Python call per snapshot.
-        return tuple(map(tuple.__new__, repeat(Snapshot), zip(self.arrival_time.tolist(), views)))
+        return tuple(map(tuple.__new__, repeat(Snapshot), zip(self.arrival_time.tolist(), levels)))
 
     # Cell texts of the two columns that both the trace and the snapshot file
     # print, formatted on first use.
@@ -270,6 +310,50 @@ class SimTrace:
     @cached_property
     def _arrival_texts(self) -> tuple[str, ...]:
         return _cells(self.arrival_time)
+
+
+class _TraceView(Sequence):
+    """A trace's records or snapshots, read-only; ``len`` is the trace's length.
+
+    Indexing, slicing, iteration and ``==`` read the tuple that the trace
+    builds on first element access and caches as ``_built``. Defining ``==``
+    leaves the view unhashable. The trace holds its view weakly, so a dropped
+    trace is freed at once, not by the cycle collector.
+    """
+
+    __slots__ = ("_trace", "__weakref__")
+    _built: str
+
+    def __init__(self, trace: SimTrace) -> None:
+        self._trace = trace
+
+    def _tuple(self) -> tuple:
+        return getattr(self._trace, self._built)
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._tuple())
+
+    def __eq__(self, other) -> bool:
+        return self._tuple() == other
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+
+class _Records(_TraceView):
+    __slots__ = ()
+    _built = "_record_tuple"
+
+
+class _Snapshots(_TraceView):
+    __slots__ = ()
+    _built = "_snapshot_tuple"
 
 
 def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> SimTrace:
@@ -409,8 +493,12 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     :func:`write_snapshots_csv` to reuse, and a ``last_service_entry`` with
     the bits of the customer's own arrival takes that arrival's text. Rows
     are formatted directly in ``csv.writer``'s excel dialect: no cell (an
-    integer, a float repr or empty) ever needs quoting.
+    integer, a float repr or empty) ever needs quoting. A NaN priority or
+    arrival time raises ValueError before the file is opened: it would print
+    as an empty cell, which :func:`read_trace_csv` refuses in those columns.
     """
+    if np.isnan(trace.priority).any() or np.isnan(trace.arrival_time).any():
+        raise ValueError("a NaN priority or arrival time has no cell that read_trace_csv reads back")
     # Most customers enter service on arrival: only the other entry times are formatted.
     entered = trace.last_service_entry
     elsewhere = entered.view(np.int64) != trace.arrival_time.view(np.int64)
@@ -453,11 +541,11 @@ def write_snapshots_csv(trace: SimTrace, path) -> None:
 
     Cells print as in :func:`write_trace_csv`. Rows come from the walk that
     builds :attr:`SimTrace.snapshots`, over the trace's cached priority and
-    arrival texts, without building the view; a trace without snapshots
-    formats nothing. Rows are formatted directly: a float repr holds no comma,
+    arrival texts, without building the snapshot tuple; a trace without
+    snapshots formats nothing. Rows are formatted directly: a float repr holds no comma,
     quote or line break, so ``csv.writer`` would quote nothing either.
     """
-    if vars(trace).get("snapshots") == ():  # not stored, or no arrival
+    if vars(trace).get("_snapshot_tuple") == ():  # not stored, or no arrival
         rows = ()
     else:
         rows = zip(trace._arrival_texts, trace._walk(trace._priority_texts))

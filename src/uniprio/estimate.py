@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import INFINITY, ExtendedReal, _as_real, _check_level
-from .des import CustomerRecord, SimTrace, Snapshot, _cells, _real
+from .des import CustomerRecord, SimTrace, Snapshot, _cells, _real, _Records, _Snapshots
 
 __all__ = [
     "BinGrid",
@@ -92,18 +92,19 @@ class BinGrid:
         return i if i < n else n - 1
 
     def indices(self, levels: Sequence[float] | np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`index_of` of each level, or of each one the boolean mask ``kept`` selects."""
-        at = np.arange(len(levels)) if kept is None else np.flatnonzero(kept)
+        """:meth:`index_of` of each level, or of each one the boolean mask ``kept`` selects.
+
+        Other entries than floats, in a sequence that is not a float64 array,
+        meet the level rule one by one, as in a hand-built trace's columns.
+        """
         if isinstance(levels, np.ndarray) and levels.dtype == np.float64:  # such as a trace's column
-            q = levels[at]
+            q = levels if kept is None else levels[kept]
         else:
-            try:  # a buffer of doubles takes no string or None
-                q = np.frombuffer(array("d", levels))[at]
-            except TypeError:
-                q = np.array([_as_real("priority level", levels[i]) for i in at.tolist()], dtype=np.float64)
-            # A float holds a bool as 0 or 1, so the entries that read so meet the level rule again.
-            for i in at[(q == 0.0) | (q == 1.0)].tolist():
-                _as_real("priority level", levels[i])
+            if kept is not None:
+                levels = [levels[i] for i in np.flatnonzero(kept).tolist()]
+            if not set(map(type, levels)) <= {float}:
+                levels = [_as_real("priority level", x) for x in levels]
+            q = np.frombuffer(array("d", levels))
         outside = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both comparisons
         if outside.size:
             raise ValueError(f"priority {outside[0]} outside [0, 1] fits no bin")
@@ -183,7 +184,7 @@ class DensityAccumulator(_BinTallies):
         n = len(trace)
         first = int(np.searchsorted(trace.arrival_time, self.start_time))
         lo = np.maximum(np.arange(1, n + 1), first)
-        seen = np.maximum(trace._snapshot_ends() - lo, 0)
+        seen = np.maximum(trace._snapshot_ends - lo, 0)
         self._tallies[0] += np.bincount(bins, weights=seen, minlength=self.grid.n_bins)
         self._tallies[1] += n - first
         return self
@@ -192,8 +193,15 @@ class DensityAccumulator(_BinTallies):
         """Add stored snapshots, binned in blocks of about ``_BLOCK`` entries and added at the end.
 
         A level that is not a number in [0, 1], or a snapshot time that is not
-        a number or is NaN, raises ValueError and adds nothing.
+        a number or is NaN, raises ValueError and adds nothing. A trace's own
+        :attr:`SimTrace.snapshots` view goes to :meth:`add_trace`, unbuilt, with
+        identical sums. That path checks every customer's level, so it also
+        refuses a level outside [0, 1] that no snapshot at or after
+        ``start_time`` shows, which the stored path (``tuple(view)``, or a
+        slice) bins without ever reading.
         """
+        if isinstance(snapshots, _Snapshots):
+            return self.add_trace(snapshots._trace)
         sums, block, count = np.zeros(self.grid.n_bins), [], 0
         for time, priorities in snapshots:
             time = _as_real("snapshot time", time)
@@ -242,9 +250,10 @@ class RecordBinStats(_BinTallies):
     def add(self, trace_or_records: SimTrace | Iterable[CustomerRecord]) -> "RecordBinStats":
         """Tally customers whose arrival is at or after ``start_time``.
 
-        A trace hands over its columns; records are made a trace first, which
-        refuses a field that is not a number, whatever its arrival, and their
-        own ids name them in messages. Every customer to be tallied is then
+        A trace hands over its columns, and so does its :attr:`SimTrace.records`
+        view, unbuilt; other records are made a trace first, which refuses a
+        field that is not a number, whatever its arrival, and their own ids
+        name them in messages. Every customer to be tallied is then
         checked, and a fault raises ValueError and changes no tally: first any
         priority outside [0, 1], then any arrival that is not finite,
         departure that is not finite or precedes its arrival, or departure
@@ -255,6 +264,8 @@ class RecordBinStats(_BinTallies):
         call on a fresh instance sums exactly as a loop over the customers
         would. Further calls add their per-call sums, as :meth:`merge` would.
         """
+        if isinstance(trace_or_records, _Records):
+            trace_or_records = trace_or_records._trace
         if isinstance(trace_or_records, SimTrace):
             ids, trace = range(len(trace_or_records)), trace_or_records
         else:  # no record gives six empty columns

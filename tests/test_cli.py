@@ -29,7 +29,7 @@ from uniprio.cli import (
     replication_seed,
     run_experiment,
 )
-from uniprio.des import read_snapshots_csv, read_trace_csv
+from uniprio.des import read_snapshots_csv, read_trace_csv, simulate
 from uniprio.estimate import (
     BinGrid,
     CensoredPolicy,
@@ -141,6 +141,23 @@ class TestRunExperiment:
             "analytic_waiting.csv",
             "summary.json",
         }
+
+    def test_overloaded_replications_build_no_snapshot_tuple(self, tmp_path, monkeypatch) -> None:
+        # run_experiment bins a trace's snapshot view from its columns and writes the
+        # snapshot file from the walk; neither builds the O(N^2) tuple.
+        traces = []
+
+        def simulate_and_keep(config):
+            traces.append(simulate(config))
+            return traces[-1]
+
+        monkeypatch.setattr("uniprio.cli.simulate", simulate_and_keep)
+        config = tiny_config(tmp_path / "out", params=SystemParams(5.0, 2), horizon=30.0, replications=3)
+        result = run_experiment(dataclasses.replace(config, warmup_fraction=0.2))
+        assert len(traces) == 3 and all(trace.final_population > 0 for trace in traces)
+        assert not any("_snapshot_tuple" in vars(trace) for trace in traces)
+        seen = sum(int((trace.arrival_time >= 6.0).sum()) for trace in traces)
+        assert result.summary["totals"]["snapshots"] == seen > 0
 
     def test_summary_content(self, tmp_path) -> None:
         result = run_experiment(tiny_config(tmp_path / "out"))

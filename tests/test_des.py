@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import math
 import os
+import pickle
 import subprocess
 import sys
+import weakref
+from collections.abc import Sequence
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -193,10 +197,62 @@ class TestReferenceSnapshotContents(TestSnapshotContents):
 class TestSnapshotView:
     def test_snapshots_are_built_only_when_read(self) -> None:
         trace = simulate(SimConfig(PARAMS, 200.0, 5))
-        assert "snapshots" not in vars(trace)
         snapshots = trace.snapshots
-        assert vars(trace)["snapshots"] is snapshots is trace.snapshots
-        assert len(snapshots) == len(trace)
+        assert isinstance(snapshots, Sequence) and not isinstance(snapshots, tuple)
+        assert len(snapshots) == len(trace) and "_snapshot_tuple" not in vars(trace)
+        assert snapshots[0] == Snapshot(trace.arrival_time[0], ())
+        built = vars(trace)["_snapshot_tuple"]
+        assert snapshots == built and all(type(s) is Snapshot for s in built)
+        assert snapshots is trace.snapshots and trace.snapshots[:] is built
+
+    def test_records_are_a_view_equal_to_their_tuple(self) -> None:
+        trace = simulate(SimConfig(SystemParams(5.0, 2), 30.0, 43))
+        records = trace.records
+        assert isinstance(records, Sequence) and not isinstance(records, tuple)
+        assert len(records) == len(trace) and "_record_tuple" not in vars(trace)
+        first = records[0]
+        built = vars(trace)["_record_tuple"]
+        assert first is built[0] and first.customer_id == 0
+        assert records == built and built == records and not records != built
+        assert records[5:9] == built[5:9] and type(records[5:9]) is tuple
+        assert list(reversed(records)) == list(reversed(built)) and records[-1] in records
+        assert repr(records) == repr(built) and records != trace.snapshots
+        for view in (records, trace.snapshots):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(view)
+
+    def test_len_and_both_reductions_build_no_tuple(self) -> None:
+        trace = simulate(SimConfig(SystemParams(5.0, 2), 30.0, 43))
+        assert len(trace.snapshots) == len(trace.records) == len(trace) > 0
+        density = DensityAccumulator(BinGrid(0.1), 5.0).add_snapshots(trace.snapshots)
+        delays = RecordBinStats(BinGrid(0.1), 5.0).add(trace.records)
+        assert density.snapshot_count > 0 and delays.censored_total > 0
+        assert "_snapshot_tuple" not in vars(trace) and "_record_tuple" not in vars(trace)
+
+    @pytest.mark.parametrize("simulator", [simulate, reference_simulate])
+    def test_a_dropped_trace_is_freed_without_the_collector(self, simulator) -> None:
+        # A trace that held its views strongly would wait for the cycle collector.
+        gc.disable()
+        try:
+            trace = simulator(SimConfig(SystemParams(5.0, 2), 30.0, 43))
+            records, snapshots = trace.records, trace.snapshots
+            assert records[0] == trace.records[0] and snapshots[1] == trace.snapshots[1]
+            DensityAccumulator(BinGrid(0.1)).add_snapshots(snapshots)
+            RecordBinStats(BinGrid(0.1)).add(records)
+            alive = weakref.ref(trace)
+            del trace, records, snapshots
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_a_trace_whose_views_were_read_pickles(self) -> None:
+        trace = simulate(SimConfig(PARAMS, 50.0, 5))
+        assert trace.records[0] and trace.snapshots[0]
+        back = pickle.loads(pickle.dumps(trace))
+        assert _same_columns(back, trace)
+        assert back.records == trace.records and back.snapshots == trace.snapshots
+        unkept = pickle.loads(pickle.dumps(simulate(SimConfig(PARAMS, 50.0, 5, record_snapshots=False))))
+        assert unkept.snapshots == () and len(unkept) == len(trace)
 
 
 class TestSnapshotWalk:
@@ -243,6 +299,16 @@ class TestSnapshotWalk:
             assert repr(snap.priorities) == repr(tuple(shown))
         write_snapshots_csv(trace, tmp_path / "snaps.csv")
         assert (tmp_path / "snaps.csv").read_bytes() == _csv_module_snapshots(trace.snapshots).replace(b"nan", b"")
+
+    def test_nan_levels_and_arrivals_write_no_trace_file(self, tmp_path) -> None:
+        # An empty priority or arrival cell could not be read back.
+        quantile = lambda u: math.nan if u < 0.2 else u  # noqa: E731
+        nan_level = simulate(SimConfig(SystemParams(3.0, 2), 60.0, 0, priority_quantile=quantile))
+        nan_arrival = SimTrace((0.5, 0.25), (0.0, math.nan), (0.0, None), (None, None), (None, None))
+        for trace in (nan_level, nan_arrival):
+            with pytest.raises(ValueError, match="NaN priority or arrival time"):
+                write_trace_csv(trace, tmp_path / "trace.csv")
+            assert not (tmp_path / "trace.csv").exists()
 
     def test_arrivals_out_of_order_are_refused(self, tmp_path) -> None:
         # The customer arriving at 2.0 would show in the snapshot taken at 1.0.
@@ -499,6 +565,15 @@ class TestObserver:
         assert raw.snapshot_count == density.snapshot_count
         assert raw.curve().values != density.curve().values
 
+    @pytest.mark.parametrize("quantile", [None, lambda u: u**2], ids=["uniform", "squared"])
+    def test_observer_equals_the_stored_snapshots_bit_for_bit(self, quantile) -> None:
+        # add_snapshots(trace.snapshots) goes to the columns too; tuple(view) takes the stored path.
+        density = DensityAccumulator(BinGrid(0.1))
+        simulate(SimConfig(PARAMS, 300.0, 31, priority_quantile=quantile, record_snapshots=False), observer=density)
+        kept = simulate(SimConfig(PARAMS, 300.0, 31, priority_quantile=quantile))
+        stored = DensityAccumulator(BinGrid(0.1)).add_snapshots(tuple(kept.snapshots))
+        assert stored._tallies.tobytes() == density._tallies.tobytes() and stored.snapshot_count == len(kept)
+
 
 def _columns(trace: SimTrace) -> list[np.ndarray]:
     """The trace's five columns, in record field order."""
@@ -532,7 +607,7 @@ class TestColumnarTrace:
         trace = simulator(self.CONFIG)
         for column in _columns(trace):
             assert column.dtype == np.float64 and column.shape == (len(trace),) and not column.flags.writeable
-        assert type(trace.snapshots) is tuple
+        assert isinstance(trace.snapshots, Sequence) and trace.snapshots == tuple(trace.snapshots)
         assert np.isnan(trace.service_time).tolist() == np.isnan(trace.departure_time).tolist()
         assert trace.final_population > 0 and len(trace.snapshots) == len(trace)
         assert simulator(replace(self.CONFIG, record_snapshots=False)).snapshots == ()

@@ -458,6 +458,47 @@ class TestStreamingObserver:
         assert again.curve().values == first.curve().values
 
 
+class TestViewsAgainstStoredPaths:
+    """A trace's own views go to its columns; ``tuple(view)`` takes the stored paths, bit for bit alike."""
+
+    @pytest.mark.parametrize("simulator", [simulate, reference_simulate])
+    @pytest.mark.parametrize(
+        "alpha, c, horizon, quantile, start",
+        [
+            (5.0, 2, 150.0, None, 40.0),  # overloaded: censored customers, a warm-up
+            (1.5, 2, 300.0, lambda u: -0.0 if u < 0.3 else (0.0 if u < 0.6 else u), 0.0),
+            (3.0, 2, 100.0, lambda u: -0.0 if u < 0.5 else 0.0, 30.0),  # only signed zeros
+        ],
+        ids=["overloaded-warmup", "signed-zeros", "only-signed-zeros-warmup"],
+    )
+    def test_views_and_their_tuples_reduce_alike(self, simulator, alpha, c, horizon, quantile, start) -> None:
+        trace = simulator(SimConfig(SystemParams(alpha, c), horizon, 26, priority_quantile=quantile))
+        assert trace.final_population > 0
+        density = [
+            DensityAccumulator(GRID20, start).add_snapshots(trace.snapshots)._tallies.tobytes(),
+            DensityAccumulator(GRID20, start).add_snapshots(tuple(trace.snapshots))._tallies.tobytes(),
+            DensityAccumulator(GRID20, start).add_trace(trace)._tallies.tobytes(),
+        ]
+        delays = [
+            RecordBinStats(GRID20, start).add(trace.records)._tallies.tobytes(),
+            RecordBinStats(GRID20, start).add(tuple(trace.records))._tallies.tobytes(),
+            RecordBinStats(GRID20, start).add(trace)._tallies.tobytes(),
+        ]
+        assert density.count(density[0]) == 3 and delays.count(delays[0]) == 3
+
+    def test_a_view_refuses_a_level_that_no_kept_snapshot_shows(self) -> None:
+        # Customer 1 leaves before customer 2 arrives, and customer 2 arrives
+        # last: no snapshot shows either level. The view checks every customer.
+        trace = hand_trace((0.25, 1.5, -0.5), (0.0, 1.0, 3.0), (5.0, 2.0, None))
+        assert [s.priorities for s in trace.snapshots] == [(), (0.25,), (0.25,)]
+        stored = DensityAccumulator(GRID20).add_snapshots(tuple(trace.snapshots))
+        assert stored.snapshot_count == 3
+        viewed = DensityAccumulator(GRID20)
+        with pytest.raises(ValueError, match="priority 1.5 outside"):
+            viewed.add_snapshots(trace.snapshots)
+        assert viewed.snapshot_count == 0 and not viewed._tallies.any()
+
+
 class TestDelayEstimation:
     def test_interrupted_customer_worked_example(self) -> None:
         # Arrives at 0 and starts service, loses the server at 1, gets it

@@ -8,6 +8,7 @@ value must give what the same Python value gives, of the same type.
 from __future__ import annotations
 
 import tempfile
+from decimal import Decimal
 from operator import attrgetter
 from pathlib import Path
 
@@ -134,6 +135,13 @@ def test_integer_rule(name, site) -> None:
         assert got == expected and type(got) is type(expected)
     if name != "k":
         assert type(expected) is int
+
+
+@pytest.mark.parametrize("name, site", [site for site in REAL_SITES if site.values[0] == "priority level"])
+def test_level_rule_refuses_a_decimal(name, site) -> None:
+    # A buffer of doubles reads a Decimal through __float__; the level rule does not.
+    with pytest.raises(ValueError, match="priority level must be a number, got Decimal"):
+        site(Decimal("0.5"))
 
 
 @pytest.mark.parametrize("name, site", REAL_SITES)
