@@ -194,8 +194,9 @@ class ExperimentResult:
 def replication_seed(base_seed: int, replication: int) -> int:
     """Seed for replication ``r``: the base seed plus the replication index.
 
-    The generator hashes its seed, so consecutive integers give independent
-    streams while keeping every replication reproducible on its own.
+    The generator spreads its seed over its whole state, so consecutive
+    integers give unrelated streams while keeping every replication
+    reproducible on its own.
     """
     return base_seed + replication
 

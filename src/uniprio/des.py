@@ -6,8 +6,10 @@ customers. It exploits memorylessness twice: the time to the next service
 completion is exponential at rate ``min(N, c)`` regardless of who is being
 served, and the completing customer is uniform over the in-service set. This
 is distribution-equal to racing per-customer unit-rate clocks (the slower
-construction lives in :mod:`uniprio.oracle` as an independent check) while
-touching only one clock per event.
+construction lives in :mod:`uniprio.oracle` as an independent check, on
+numpy's generator) while touching only one clock per event. The simulator
+draws its uniforms from the standard library's ``random.Random``, so a run
+never imports ``numpy.random``.
 
 Observables follow the arrivals-see-time-averages route: the snapshot of an
 arrival is the sorted multiset of priorities present just before it joins.
@@ -23,13 +25,14 @@ from __future__ import annotations
 
 import csv
 import math
+import random
 import weakref
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import chain, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -49,10 +52,6 @@ __all__ = [
     "write_snapshots_csv",
     "read_snapshots_csv",
 ]
-
-# Uniforms drawn per numpy call. A block's values are the ones successive
-# ``rng.random()`` calls would return, so the size changes speed, not streams.
-_BLOCK = 8192
 
 
 class Snapshot(NamedTuple):
@@ -136,6 +135,8 @@ class SimConfig:
         object.__setattr__(self, "horizon", _as_real("horizon", self.horizon))
         if not math.isfinite(self.horizon) or self.horizon < 0.0:
             raise ValueError(f"horizon must be finite and nonnegative, got {self.horizon}")
+        # _as_int stores a plain int, numpy integers too, which random.Random
+        # seeds by its absolute value: -5 would alias 5, so negatives are refused.
         object.__setattr__(self, "seed", _as_int("seed", self.seed))
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
@@ -369,12 +370,13 @@ def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> S
     ``service_time`` grows by the length of a spell when that spell closes,
     by preemption or by completion, so it draws no extra random numbers.
 
-    Reproducibility: one PCG64 stream seeded with ``config.seed`` drives the
-    run. Its uniforms are drawn in blocks of ``rng.random(size).tolist()``,
-    which hold the same values as successive ``rng.random()`` calls, and are
-    consumed in a fixed order per iteration: first the candidate completion
-    gap (when the system is occupied; discarded unscathed if an arrival
-    preempts the comparison, which memorylessness permits), then on an arrival
+    Reproducibility: one Mersenne Twister stream, ``random.Random(config.seed)``
+    from the standard library, drives the run, one ``random()`` call per
+    uniform; Python guarantees that a seeded ``Random`` gives the same
+    ``random()`` sequence on every version. The uniforms are consumed in a
+    fixed order per iteration: first the candidate completion gap (when the
+    system is occupied; discarded unscathed if an arrival preempts the
+    comparison, which memorylessness permits), then on an arrival
     its uniform priority followed by the next interarrival gap, or on a
     departure one uniform ``u`` that picks the ``int(u * busy)``-th highest
     customer in service, counting from zero, to complete. The pick consumes
@@ -390,9 +392,7 @@ def simulate(config: SimConfig, observer: DensityAccumulator | None = None) -> S
     without building them, and bins the displayed priorities, as
     ``add_snapshots`` does.
     """
-    rng = np.random.default_rng(config.seed)
-    # One C-level call per uniform; the lambda runs once per block.
-    uniform = chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None)).__next__
+    uniform = random.Random(config.seed).random
     alpha = config.params.alpha
     servers = config.params.c
     horizon = config.horizon
@@ -484,6 +484,13 @@ def _cells(column: Sequence[float | None] | np.ndarray) -> tuple[str, ...]:
     return tuple(repr(values)[1:-1].replace("nan", "").split(", "))
 
 
+def _check_cells(trace: SimTrace) -> None:
+    """Refuse a NaN priority or arrival time: it would print as an empty cell,
+    which :func:`read_trace_csv` refuses and :func:`read_snapshots_csv` drops."""
+    if np.isnan(trace.priority).any() or np.isnan(trace.arrival_time).any():
+        raise ValueError("a NaN priority or arrival time has no cell that read_trace_csv reads back")
+
+
 def write_trace_csv(trace: SimTrace, path) -> None:
     """Write a trace's customers, one row each, numbered by id; empty cells mark missing times.
 
@@ -497,8 +504,7 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     arrival time raises ValueError before the file is opened: it would print
     as an empty cell, which :func:`read_trace_csv` refuses in those columns.
     """
-    if np.isnan(trace.priority).any() or np.isnan(trace.arrival_time).any():
-        raise ValueError("a NaN priority or arrival time has no cell that read_trace_csv reads back")
+    _check_cells(trace)
     # Most customers enter service on arrival: only the other entry times are formatted.
     entered = trace.last_service_entry
     elsewhere = entered.view(np.int64) != trace.arrival_time.view(np.int64)
@@ -543,12 +549,15 @@ def write_snapshots_csv(trace: SimTrace, path) -> None:
     builds :attr:`SimTrace.snapshots`, over the trace's cached priority and
     arrival texts, without building the snapshot tuple; a trace without
     snapshots formats nothing. Rows are formatted directly: a float repr holds no comma,
-    quote or line break, so ``csv.writer`` would quote nothing either.
+    quote or line break, so ``csv.writer`` would quote nothing either. A NaN
+    priority or arrival time raises ValueError before the file is opened, as
+    in :func:`write_trace_csv`: its empty cell would not read back.
     """
     if vars(trace).get("_snapshot_tuple") == ():  # not stored, or no arrival
         rows = ()
     else:
         rows = zip(trace._arrival_texts, trace._walk(trace._priority_texts))
+    _check_cells(trace)
     with open(path, "w", newline="") as handle:
         handle.write("snapshot_time,priorities\r\n")
         handle.writelines(f"{time},{';'.join(levels)}\r\n" for time, levels in rows)

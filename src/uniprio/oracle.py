@@ -130,6 +130,9 @@ def reference_simulate(config: SimConfig) -> SimTrace:
     preemption and by its completion. Distribution-equal to
     :func:`uniprio.des.simulate`, never bitwise-equal: the random stream is
     spent differently (one service draw per service entry, no victim choice).
+    It keeps numpy's PCG64 generator on purpose, while ``simulate`` draws from
+    the standard library's Mersenne Twister: agreement then also checks the
+    simulator against a second generator family.
 
     Censoring, the horizon boundary rule and the quantile transform behave as
     in the main simulator, and the trace derives its snapshots as any does.

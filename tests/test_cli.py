@@ -517,12 +517,12 @@ ESTIMATE_DIGESTS = {
     "overloaded-warmup-infinite": (
         dict(params=SystemParams(5.0, 2), horizon=40.0, delta=0.1, seed=5, warmup_fraction=0.25),
         {
-            "summary.json": "b9fa774b0c1a121a1b5eda8270da4d2e4b6586076f515725c1224ff644df5442",
-            "estimate_density.csv": "88b1afe8f58727e364424a82d4928018cbe237c8856ea88342da2899fd502fd6",
-            "estimate_sojourn.csv": "bd33a2ec06b39c4cd2539a205307bb4271cd5d553591bf53037b3fea1727571b",
-            "estimate_waiting.csv": "0ab635c182f69c36924c31778bb46f2e72e54082b6a9f11ae7e805d8b01cd484",
-            "trace_rep000.csv": "32e0a4fc9084bf488b3749bee116ffacd47609530b64d5efec30ea7d0fa9f1a4",
-            "snapshots_rep000.csv": "caf6dbb31a7275cbf4abe411b39032ec6ce998237916e2171dce0d97900db5aa",
+            "summary.json": "39762209a43b7a5ed5aa7ccc821ef264d2be9a372a7c3957f81d377e0fdf2eaf",
+            "estimate_density.csv": "3ed5e4b2dbc703546463d1bd76b3dd9ab652b216a5d88c6ede4239c69d0baa6d",
+            "estimate_sojourn.csv": "d48bfe70cec91748ce22d7ba2e664007a8f9bcad51a5809cde4723d3a4e28a50",
+            "estimate_waiting.csv": "1fc42e85c909940f3ffc305b16edd7c8cc7fb949e9ad466298d3ad9f5e5b3874",
+            "trace_rep000.csv": "0ea4e198275917dc67b048e2d46205641992484ec40d3e9d05b818e0e1cd2cc3",
+            "snapshots_rep000.csv": "8110a3a94028f28a5a27d8990ca59a206c9bce92b9f4e1632831cee0029afeb0",
             "analytic_density.csv": "bf624adac17b9df79798728ed7061dd924672ec4cfd6ec339b0033cce2a13d9a",
             "analytic_sojourn.csv": "75da7cbf149f64920f198ce2b404accff4b7cdc03a24ccfa91b3f2efd3111453",
             "analytic_waiting.csv": "695be06001561f5902200f7e566ff45cbc4eb442223b72fec0bdc55a91a321df",
@@ -534,14 +534,14 @@ ESTIMATE_DIGESTS = {
             censored_policy=CensoredPolicy.EXCLUDE,
         ),
         {
-            "summary.json": "cc6ef7b7b1f2da8dfbf8289e0d2ae29587af531c6a6b5fe78d99530baf489fd7",
-            "estimate_density.csv": "64ca02e98e8447593002f20b0ea275527b551ff74dfcc65f0973986c0537ad4f",
-            "estimate_sojourn.csv": "8b05bbba2d51ae4d6ea0ecdf07a64ef13f7c91438b817d57dde3afe27add2132",
-            "estimate_waiting.csv": "7e68560d9293e9dd4add51edc6e69c6023d76fb9a410e833a1132a6ca04145df",
-            "trace_rep000.csv": "e0919a1206d4a2342bd3ce336b5c1adda1431e664d24a49441970b01b44efcce",
-            "trace_rep001.csv": "28ad7842985b6ab47ee93e19ca536997ef2a2df8fbcf44ffa573aa4969370f26",
-            "snapshots_rep000.csv": "02a104fe4015bda4c2271b27780f4525f44c71020e69cdf8222ca1d61a316ea1",
-            "snapshots_rep001.csv": "1c7804cb50e40907b61592643964423bcc732b035ac965022dbdf23340e21686",
+            "summary.json": "eea3b3d12fc0ab5c5978880ec3669d81d4ff2cf43c41ea5dcdf840a3d98e005e",
+            "estimate_density.csv": "303dbc4ca0ec129d3d2e2047b0e94147c4d362ec935b2123584f5dc931f69f82",
+            "estimate_sojourn.csv": "a6ab0fbc3c84228e76e90c96d966f9169d2871b85d8d9aa2833c526611714e5e",
+            "estimate_waiting.csv": "f27e662d741c3de8efda9b97a719730a64891961dc4dd0dde31c79226844da46",
+            "trace_rep000.csv": "7bad7748959abcb44da7cbda1ec4872bbb86e2769adf5a96a1ccc6e9d6149643",
+            "trace_rep001.csv": "1244a436da9006aa3f54e4ad71eb414b8d0be6e18cdd5eb4a160700150ba8b56",
+            "snapshots_rep000.csv": "77edc00df9d5ea4fcd21dfab91279f57e6e6ad0808ac727cb646cd9e1c13c0d5",
+            "snapshots_rep001.csv": "7b1d75a32b9cc05ecc5ddc71ce1be92c46d2d5cdd589f71fcc01e39030ef83c1",
             "analytic_density.csv": "237581ce56cb202ef91594b0c8cb42e8ab84471ada86b7786ff864aa0f0f8ea6",
             "analytic_sojourn.csv": "9e7f0f375f8a98812cd44e8fbec63bb3fb7bb270270515d914d23aff5b6c6663",
             "analytic_waiting.csv": "4d5f760638fcfb4651a328f9b86e5b505e826cbbcdc978dbf46f67974a41ebba",

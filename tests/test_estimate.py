@@ -463,16 +463,19 @@ class TestViewsAgainstStoredPaths:
 
     @pytest.mark.parametrize("simulator", [simulate, reference_simulate])
     @pytest.mark.parametrize(
-        "alpha, c, horizon, quantile, start",
+        "alpha, c, horizon, seed, quantile, start",
         [
-            (5.0, 2, 150.0, None, 40.0),  # overloaded: censored customers, a warm-up
-            (1.5, 2, 300.0, lambda u: -0.0 if u < 0.3 else (0.0 if u < 0.6 else u), 0.0),
-            (3.0, 2, 100.0, lambda u: -0.0 if u < 0.5 else 0.0, 30.0),  # only signed zeros
+            (5.0, 2, 150.0, 26, None, 40.0),  # overloaded: censored customers, a warm-up
+            # Seed 27 is the first from 26 up at which both simulators end this stable run occupied.
+            (1.5, 2, 300.0, 27, lambda u: -0.0 if u < 0.3 else (0.0 if u < 0.6 else u), 0.0),
+            (3.0, 2, 100.0, 26, lambda u: -0.0 if u < 0.5 else 0.0, 30.0),  # only signed zeros
         ],
         ids=["overloaded-warmup", "signed-zeros", "only-signed-zeros-warmup"],
     )
-    def test_views_and_their_tuples_reduce_alike(self, simulator, alpha, c, horizon, quantile, start) -> None:
-        trace = simulator(SimConfig(SystemParams(alpha, c), horizon, 26, priority_quantile=quantile))
+    def test_views_and_their_tuples_reduce_alike(
+        self, simulator, alpha, c, horizon, seed, quantile, start
+    ) -> None:
+        trace = simulator(SimConfig(SystemParams(alpha, c), horizon, seed, priority_quantile=quantile))
         assert trace.final_population > 0
         density = [
             DensityAccumulator(GRID20, start).add_snapshots(trace.snapshots)._tallies.tobytes(),
