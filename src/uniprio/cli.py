@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -223,9 +222,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ``analytic_{density,sojourn,waiting}.csv`` at ``curve_resolution`` points,
     and ``summary.json``. Each replication is simulated, written and reduced
     where it runs: in a pool of ``min(workers, replications)`` processes, or
-    in this process when that is one. The reductions are merged in
-    replication order, so the pooled files and the summary do not depend on
-    the worker count. The summary's totals count the customers arriving at or
+    in this process when that is one, which loads no pool module. The
+    reductions are merged in replication order, so the pooled files and the
+    summary do not depend on the worker count. The summary's totals count the customers arriving at or
     after the warm-up, each departed or censored, and the snapshots they saw.
     """
     out = config.output_dir
@@ -239,6 +238,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # A fork-started pool launches every worker at the first submit, so it
     # never gets more workers than replications.
     workers = min(config.workers, config.replications)
+    if workers > 1:
+        # Imported only for a pool: it loads multiprocessing, which a one-worker run never uses.
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         replicate = map if pool is None else pool.map
         results = replicate(_replicate, repeat(config), range(config.replications))

@@ -484,6 +484,10 @@ def _cells(column: Sequence[float | None] | np.ndarray) -> tuple[str, ...]:
     return tuple(repr(values)[1:-1].replace("nan", "").split(", "))
 
 
+# Rows that write_trace_csv formats and writes at a time.
+_ROWS = 1024
+
+
 def _check_cells(trace: SimTrace) -> None:
     """Refuse a NaN priority or arrival time: it would print as an empty cell,
     which :func:`read_trace_csv` refuses and :func:`read_snapshots_csv` drops."""
@@ -495,32 +499,37 @@ def write_trace_csv(trace: SimTrace, path) -> None:
     """Write a trace's customers, one row each, numbered by id; empty cells mark missing times.
 
     Each real prints as ``repr(float(x))``, so numpy floats print as Python
-    floats do. Each column is formatted once, by :func:`_cells`; a trace's
-    priority and arrival texts are cached on it, for
-    :func:`write_snapshots_csv` to reuse, and a ``last_service_entry`` with
-    the bits of the customer's own arrival takes that arrival's text. Rows
-    are formatted directly in ``csv.writer``'s excel dialect: no cell (an
+    floats do. Rows are formatted and written in blocks of ``_ROWS``, so the
+    writer holds one block's text, not whole columns: per block, :func:`_cells`
+    formats the departure and service times and the ``last_service_entry``
+    times that differ from the customer's own arrival (the others take that
+    arrival's text). The priority and arrival texts are formatted once for the
+    whole trace and cached on it, for :func:`write_snapshots_csv` to reuse.
+    Rows are formatted directly in ``csv.writer``'s excel dialect: no cell (an
     integer, a float repr or empty) ever needs quoting. A NaN priority or
     arrival time raises ValueError before the file is opened: it would print
     as an empty cell, which :func:`read_trace_csv` refuses in those columns.
     """
     _check_cells(trace)
-    # Most customers enter service on arrival: only the other entry times are formatted.
-    entered = trace.last_service_entry
-    elsewhere = entered.view(np.int64) != trace.arrival_time.view(np.int64)
-    entry = np.array(trace._arrival_texts, dtype=object)
-    entry[elsewhere] = _cells(entered[elsewhere])
-    rows = zip(
-        range(len(trace)),
-        trace._priority_texts,
-        trace._arrival_texts,
-        entry,
-        _cells(trace.departure_time),
-        _cells(trace.service_time),
-    )
+    priorities, arrivals = trace._priority_texts, trace._arrival_texts
     with open(path, "w", newline="") as handle:
         handle.write(",".join(CustomerRecord._fields) + "\r\n")
-        handle.writelines(f"{i},{p},{a},{e},{d},{s}\r\n" for i, p, a, e, d, s in rows)
+        for start in range(0, len(trace), _ROWS):
+            block = slice(start, start + _ROWS)
+            # Most customers enter service on arrival: only the other entry times are formatted.
+            entered = trace.last_service_entry[block]
+            elsewhere = entered.view(np.int64) != trace.arrival_time[block].view(np.int64)
+            entry = np.array(arrivals[block], dtype=object)
+            entry[elsewhere] = _cells(entered[elsewhere])
+            rows = zip(
+                range(start, start + len(entry)),
+                priorities[block],
+                arrivals[block],
+                entry,
+                _cells(trace.departure_time[block]),
+                _cells(trace.service_time[block]),
+            )
+            handle.writelines(f"{i},{p},{a},{e},{d},{s}\r\n" for i, p, a, e, d, s in rows)
 
 
 def _real(cell: str) -> float | None:
@@ -551,13 +560,15 @@ def write_snapshots_csv(trace: SimTrace, path) -> None:
     snapshots formats nothing. Rows are formatted directly: a float repr holds no comma,
     quote or line break, so ``csv.writer`` would quote nothing either. A NaN
     priority or arrival time raises ValueError before the file is opened, as
-    in :func:`write_trace_csv`: its empty cell would not read back.
+    in :func:`write_trace_csv`: its empty cell would not read back; so do
+    times the snapshot rule of :attr:`SimTrace.snapshots` refuses.
     """
-    if vars(trace).get("_snapshot_tuple") == ():  # not stored, or no arrival
-        rows = ()
-    else:
-        rows = zip(trace._arrival_texts, trace._walk(trace._priority_texts))
+    kept = vars(trace).get("_snapshot_tuple") != ()  # () when not stored, or no arrival
     _check_cells(trace)
+    rows = ()
+    if kept:
+        trace._snapshot_ends  # times the snapshot rule refuses raise here, before the file is opened
+        rows = zip(trace._arrival_texts, trace._walk(trace._priority_texts))
     with open(path, "w", newline="") as handle:
         handle.write("snapshot_time,priorities\r\n")
         handle.writelines(f"{time},{';'.join(levels)}\r\n" for time, levels in rows)

@@ -262,7 +262,7 @@ class TestRunExperiment:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr("uniprio.cli.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         cfg = tiny_config(tmp_path / "run", horizon=10.0, replications=replications, workers=workers)
         run_experiment(cfg)
         assert started == ([] if pool is None else [pool])
@@ -577,6 +577,23 @@ def test_module_entry_point_runs_without_runtime_warning() -> None:
     )
     assert result.returncode == 0, result.stderr
     assert "RuntimeWarning" not in result.stderr
+
+
+def test_one_worker_runs_load_no_pool_module(tmp_path) -> None:
+    # The pool is imported only where one runs, so a one-worker run, of any
+    # number of replications, never loads multiprocessing.
+    code = f"""if True:
+        import json, sys
+        from uniprio.analytics import SystemParams
+        from uniprio.cli import ExperimentConfig, run_experiment
+        run_experiment(ExperimentConfig(SystemParams(1.5, 2), 20.0, 0.25, 1, {str(tmp_path / "run")!r}, 2))
+        print(json.dumps([m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]))
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(uniprio.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert json.loads(result.stdout) == []
 
 
 def test_package_exports_each_module_public_name_once() -> None:

@@ -25,6 +25,7 @@ import pytest
 import uniprio
 from uniprio.analytics import SystemParams
 from uniprio.des import (
+    _ROWS,
     CustomerRecord,
     SimConfig,
     SimTrace,
@@ -345,6 +346,16 @@ class TestSnapshotWalk:
             trace.snapshots
         with pytest.raises(ValueError, match=message):
             DensityAccumulator(BinGrid(0.5)).add_trace(trace)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [((0.2, 0.7), (2.0, 1.0), (2.0, 1.0), (None, 3.0), (None, 2.0)), ((0.5,), (1.0,), (1.0,), (0.5,), (0.1,))],
+        ids=["arrivals-out-of-order", "departure-before-arrival"],
+    )
+    def test_snapshot_file_of_a_refused_trace_is_not_opened(self, tmp_path, columns) -> None:
+        with pytest.raises(ValueError):
+            write_snapshots_csv(SimTrace(*columns), tmp_path / "snaps.csv")
+        assert not any(tmp_path.iterdir())
 
 
 class TestDeterminism:
@@ -705,6 +716,31 @@ class TestCsvRoundTrip:
         back = read_trace_csv(path)
         assert type(back) is SimTrace and _same_columns(back, trace)
         assert back.records == trace.records
+
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+        ids=["empty", "one", "rows-1", "rows", "rows+1", "2rows+1"],
+    )
+    def test_row_blocks_join_seamlessly(self, tmp_path, blocks, extra) -> None:
+        # Overloaded, so never-served and promoted customers are spread over the run. Every
+        # cut starts where its first block holds a customer still in service at the horizon
+        # and the rows on both sides of the first boundary are promoted.
+        run = simulate(SimConfig(SystemParams(5.0, 2), 0.25 * 3 * _ROWS, 1))
+        entered = run.last_service_entry
+        promoted = (entered != run.arrival_time) & ~np.isnan(entered)
+        in_service = np.isnan(run.departure_time) & ~np.isnan(entered)
+        start = next(
+            i for i in range(len(run) - 2 * _ROWS)
+            if promoted[i + _ROWS - 1] and promoted[i + _ROWS] and in_service[i : i + _ROWS - 1].any()
+        )
+        n = blocks * _ROWS + extra
+        trace = SimTrace(*(column[start : start + n] for column in _columns(run)))
+        if n >= _ROWS - 1:
+            assert np.isnan(trace.last_service_entry).any()  # never served
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == _csv_module_trace(trace.records)
+        assert _same_columns(read_trace_csv(path), trace)
 
     def test_snapshots(self, tmp_path) -> None:
         trace = simulate(SimConfig(PARAMS, 200.0, 41))
