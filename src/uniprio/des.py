@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-import weakref
 from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -156,10 +155,11 @@ class SimTrace:
     both writers take one, and :func:`read_trace_csv` gives one back.
     :attr:`records` (None for a missing time) and :attr:`snapshots` are
     read-only views of one entry per customer, not tuples: they have no hash
-    and ``isinstance(view, tuple)`` is false. Each equals the tuple it stands
-    for, which is built on first element access and cached on the trace; a
-    slice is a plain tuple. ``len`` of a view, ``len(trace)``,
-    :attr:`final_population` and :attr:`event_count` build nothing.
+    and ``isinstance(view, tuple)`` is false. Each read gives a new view; it
+    equals the tuple it stands for, which is built on first element access
+    and cached on the trace, and a slice is that plain tuple. ``len`` of a
+    view, ``len(trace)``, :attr:`final_population` and :attr:`event_count`
+    build nothing.
 
     >>> trace = SimTrace((0.5,), (1.0,), (None,), (None,), (None,))
     >>> trace.final_population, trace.records[0].departure_time is None
@@ -189,10 +189,6 @@ class SimTrace:
     def __len__(self) -> int:
         return len(self.arrival_time)
 
-    def __getstate__(self) -> dict:
-        # A view's weak reference does not pickle; the next read makes a new view.
-        return {k: v for k, v in vars(self).items() if not isinstance(v, weakref.ref)}
-
     @property
     def final_population(self) -> int:
         """Customers in system when the horizon cut the run off: the censored ones."""
@@ -218,29 +214,19 @@ class SimTrace:
             vars(trace)["_snapshot_tuple"] = ()
         return trace
 
-    def _view(self, kind: type[_TraceView]) -> _TraceView:
-        """The trace's live view of ``kind``, or a new one. The trace keeps it by weak
-        reference only: a view holds its trace, and a cycle would wait for the collector."""
-        ref = vars(self).get(kind.__name__)
-        view = None if ref is None else ref()
-        if view is None:
-            view = kind(self)
-            vars(self)[kind.__name__] = weakref.ref(view)
-        return view
-
     @property
     def records(self) -> Sequence[CustomerRecord]:
-        """Each customer's :class:`CustomerRecord`, by id, as a view."""
-        return self._view(_Records)
+        """Each customer's :class:`CustomerRecord`, by id, as a new view."""
+        return _Records(self)
 
     @property
     def snapshots(self) -> Sequence[Snapshot]:
-        """Every arrival's snapshot, as a view: levels ascending, equal ones by arrival.
+        """Every arrival's snapshot, as a new view: levels ascending, equal ones by arrival.
         A trace simulated with ``record_snapshots=False`` gives ``()``."""
         if vars(self).get("_snapshot_tuple") == ():  # none kept, or no arrival
             return ()
         self._snapshot_ends  # times the snapshot rule cannot read raise here, not at first access
-        return self._view(_Snapshots)
+        return _Snapshots(self)
 
     @cached_property
     def _record_tuple(self) -> tuple[CustomerRecord, ...]:
@@ -268,22 +254,18 @@ class SimTrace:
             raise ValueError("a customer departs before its arrival")
         return ends
 
-    @cached_property
-    def _ranks(self) -> tuple[list[int], list[int], list[int]]:
-        """Each customer's rank by (level, arrival), as a stable sort orders them (``-0.0``
-        ties ``0.0``, NaN last); the ranks in leaving order; and how many left before each snapshot."""
+    def _walk(self, values: Sequence) -> Iterator[list]:
+        """Per arrival ``j``, the ``values`` of the customers in snapshot ``j`` in rank order, as one
+        list reused from row to row. A customer's rank is its place in (level, arrival) order, as a
+        stable sort gives it (``-0.0`` ties ``0.0``, NaN last); the walk ranks on entry and keeps the
+        present ranks sorted, so each leaver, in leaving order, is found by its own."""
         n = len(self)
         rank = np.empty(n, dtype=np.intp)
         rank[np.argsort(self.priority, kind="stable")] = np.arange(n)
         ends = self._snapshot_ends
         leavers = rank[np.argsort(ends, kind="stable")].tolist()
-        left = np.cumsum(np.bincount(ends, minlength=n + 1)).tolist()
-        return rank.tolist(), leavers, left
-
-    def _walk(self, values: Sequence) -> Iterator[list]:
-        """Per arrival ``j``, the ``values`` of the customers in snapshot ``j`` in rank order, as one
-        list reused from row to row; the present ranks are kept sorted, so a leaver is found by its own."""
-        ranks, leavers, left = self._ranks
+        left = np.cumsum(np.bincount(ends, minlength=n + 1)).tolist()  # leavers before each snapshot
+        ranks = rank.tolist()
         present, shown = [], []
         k = 0
         for j, value in enumerate(values):
@@ -318,11 +300,11 @@ class _TraceView(Sequence):
 
     Indexing, slicing, iteration and ``==`` read the tuple that the trace
     builds on first element access and caches as ``_built``. Defining ``==``
-    leaves the view unhashable. The trace holds its view weakly, so a dropped
-    trace is freed at once, not by the cycle collector.
+    leaves the view unhashable. Each read of the trace's attribute makes a new
+    view; the trace never refers to one, so a dropped trace is freed at once.
     """
 
-    __slots__ = ("_trace", "__weakref__")
+    __slots__ = ("_trace",)
     _built: str
 
     def __init__(self, trace: SimTrace) -> None:
@@ -537,15 +519,27 @@ def _real(cell: str) -> float | None:
     return float(cell) if cell else None
 
 
+def _csv_rows(path) -> list[dict[str, str]]:
+    """A CSV file's rows, keyed by its header. A row with more or fewer cells than the
+    header raises ValueError: ``csv.DictReader`` would pad it with None or drop cells."""
+    rows = []
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"line {reader.line_num} of {path} does not have one cell per header name")
+            rows.append(row)
+    return rows
+
+
 def read_trace_csv(path) -> SimTrace:
     """The trace a file written by :func:`write_trace_csv` holds, every column bit for bit.
 
     Cells are read by header name, each by :func:`_real`, and the columns meet
     :class:`SimTrace`'s value rules. ``customer_id``s other than 0, 1, ... in
-    order raise ValueError: the writer numbers rows so.
+    order, and a row whose cell count is not the header's, raise ValueError.
     """
-    with open(path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
+    rows = _csv_rows(path)
     if [int(row["customer_id"]) for row in rows] != list(range(len(rows))):
         raise ValueError(f"customer ids in {path} do not count 0, 1, ... in order")
     return SimTrace(*([_real(row[name]) for row in rows] for name in CustomerRecord._fields[1:]))
@@ -575,7 +569,7 @@ def write_snapshots_csv(trace: SimTrace, path) -> None:
 
 
 def read_snapshots_csv(path) -> tuple[Snapshot, ...]:
-    """Parse a file written by :func:`write_snapshots_csv`."""
-    with open(path, newline="") as handle:
-        rows = [(row["snapshot_time"], row["priorities"].split(";")) for row in csv.DictReader(handle)]
+    """Parse a file written by :func:`write_snapshots_csv`; a row whose cell count
+    is not the header's raises ValueError."""
+    rows = [(row["snapshot_time"], row["priorities"].split(";")) for row in _csv_rows(path)]
     return tuple(Snapshot(float(time), tuple(map(float, filter(None, cells)))) for time, cells in rows)

@@ -13,7 +13,6 @@ customer makes its bin infinite), the Exclude policy drops them.
 
 from __future__ import annotations
 
-import csv
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import INFINITY, ExtendedReal, _as_real, _check_level
-from .des import CustomerRecord, SimTrace, Snapshot, _cells, _real, _Records, _Snapshots
+from .des import CustomerRecord, SimTrace, Snapshot, _cells, _csv_rows, _real, _Records, _Snapshots
 
 __all__ = [
     "BinGrid",
@@ -336,10 +335,13 @@ def write_points_csv(points: Iterable[float], values: Iterable[ExtendedReal | No
     """One ``p,value`` row per point; infinity renders as ``inf``, no data as empty.
 
     Each real prints as ``repr(float(x))``, so numpy floats print as Python
-    floats do. A point that is not a number, or unequal lengths, raise
-    ValueError before the file is opened.
+    floats do. A point that is not a number or is NaN (its cell would be empty),
+    or unequal lengths, raise ValueError before the file is opened.
     """
-    _write_rows(_cells([_as_real("point", p) for p in points]), values, path)
+    points = [_as_real("point", p) for p in points]
+    if np.isnan(points).any():
+        raise ValueError("a point is NaN, and would print as an empty cell")
+    _write_rows(_cells(points), values, path)
 
 
 def write_curve_csv(curve: CurveEstimate, path) -> None:
@@ -361,9 +363,9 @@ def _write_rows(points: Sequence[str], values: Iterable[ExtendedReal | None], pa
 
 
 def read_curve_csv(path) -> CurveEstimate:
-    """Rebuild a curve written by :func:`write_curve_csv`, exactly."""
-    with open(path, newline="") as handle:
-        rows = [(row["p"], row["value"]) for row in csv.DictReader(handle)]
+    """Rebuild a curve written by :func:`write_curve_csv`, exactly; a row whose cell
+    count is not the header's raises ValueError."""
+    rows = [(row["p"], row["value"]) for row in _csv_rows(path)]
     if not rows:
         raise ValueError(f"no curve rows in {path}")
     grid = BinGrid(1.0 / len(rows))

@@ -205,7 +205,7 @@ class TestSnapshotView:
         assert snapshots[0] == Snapshot(trace.arrival_time[0], ())
         built = vars(trace)["_snapshot_tuple"]
         assert snapshots == built and all(type(s) is Snapshot for s in built)
-        assert snapshots is trace.snapshots and trace.snapshots[:] is built
+        assert snapshots == trace.snapshots and trace.snapshots[:] is built
 
     def test_records_are_a_view_equal_to_their_tuple(self) -> None:
         trace = simulate(SimConfig(SystemParams(5.0, 2), 30.0, 43))
@@ -246,6 +246,23 @@ class TestSnapshotView:
             assert alive() is None
         finally:
             gc.enable()
+
+    def test_a_view_outlives_every_other_reference_to_its_trace(self) -> None:
+        config = SimConfig(SystemParams(5.0, 2), 30.0, 43)
+        view = simulate(config).snapshots
+        gc.collect()
+        again = simulate(config)
+        assert view == again.snapshots and len(view) == len(again) > 0
+        viewed = DensityAccumulator(BinGrid(0.1)).add_snapshots(view)
+        assert viewed._tallies.tobytes() == DensityAccumulator(BinGrid(0.1)).add_trace(again)._tallies.tobytes()
+
+    def test_reading_the_views_stores_only_data_on_the_trace(self) -> None:
+        trace = simulate(SimConfig(PARAMS, 50.0, 5))
+        views = [view for _ in range(3) for view in (trace.records, trace.snapshots)]
+        columns = set(CustomerRecord._fields[1:])
+        assert set(vars(trace)) == columns | {"_snapshot_ends"}
+        assert views[0][0] == views[2][0] and views[1][1] == views[3][1]
+        assert set(vars(trace)) == columns | {"_snapshot_ends", "_record_tuple", "_snapshot_tuple"}
 
     def test_a_trace_whose_views_were_read_pickles(self) -> None:
         trace = simulate(SimConfig(PARAMS, 50.0, 5))
@@ -604,7 +621,7 @@ class TestColumnarTrace:
         columns = (trace.priority.tolist(), trace.arrival_time.tolist(), *times)
         rebuilt = tuple(CustomerRecord(i, *row) for i, row in enumerate(zip(*columns)))
         assert trace.records == rebuilt
-        assert trace.records is trace.records
+        assert trace.records[0] is trace.records[0]
         assert len(trace) == len(trace.records) > 0
         assert tuple(zip(*trace.records)) == (tuple(range(len(trace))), *map(tuple, columns))
         assert {type(v) for r in trace.records for v in r[1:]} == {float, type(None)}
@@ -825,6 +842,24 @@ class TestCsvRoundTrip:
         path.write_text("\n".join([header, *rows]) + "\n")
         with pytest.raises(ValueError, match="customer ids"):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize("cut", ["short", "long"])
+    def test_a_row_with_a_cell_too_few_or_too_many_is_refused(self, tmp_path, cut) -> None:
+        # Cut after its arrival cell, the row would read back as a never-served censored customer.
+        path = tmp_path / "trace.csv"
+        write_trace_csv(SimTrace((0.25, 0.5), (0.0, 1.0), (0.0, 1.0), (2.0, 3.0), (2.0, 2.0)), path)
+        header, first, second = path.read_text().splitlines()
+        second = "1,0.5,1.0" if cut == "short" else f"{second},9.0"
+        path.write_text("\n".join([header, first, second]) + "\n")
+        with pytest.raises(ValueError, match="line 3 of .* one cell per header name"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("row", ["1.0", "1.0,0.25,0.5"], ids=["short", "long"])
+    def test_a_snapshot_row_with_a_cell_too_few_or_too_many_is_refused(self, tmp_path, row) -> None:
+        path = tmp_path / "snaps.csv"
+        path.write_text(f"snapshot_time,priorities\r\n0.0,\r\n{row}\r\n")
+        with pytest.raises(ValueError, match="line 3 of .* one cell per header name"):
+            read_snapshots_csv(path)
 
 
 def _csv_module_trace(records) -> bytes:

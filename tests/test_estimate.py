@@ -771,6 +771,19 @@ class TestCurveCsv:
             write_points_csv([i / 4 for i in range(n_points)], values, tmp_path / "points.csv")
         assert not (tmp_path / "points.csv").exists()
 
+    def test_a_nan_point_is_refused_before_the_file_is_opened(self, tmp_path) -> None:
+        with pytest.raises(ValueError, match="NaN"):
+            write_points_csv([0.25, np.nan], [None, None], tmp_path / "points.csv")
+        assert not (tmp_path / "points.csv").exists()
+
+    @pytest.mark.parametrize("row", ["0.75", "0.75,1.0,2.0"], ids=["short", "long"])
+    def test_a_row_with_a_cell_too_few_or_too_many_is_refused(self, tmp_path, row) -> None:
+        # A short row would read back as a bin with no data.
+        path = tmp_path / "curve.csv"
+        path.write_text(f"p,value\r\n0.25,1.0\r\n{row}\r\n")
+        with pytest.raises(ValueError, match="line 3 of .* one cell per header name"):
+            read_curve_csv(path)
+
     def test_curves_on_one_grid_share_its_center_texts(self, tmp_path) -> None:
         grid = BinGrid(0.25)
         assert grid.centers is grid.centers
