@@ -183,6 +183,8 @@ class SimTrace:
             column = np.array(column, dtype=np.float64)  # a copy: the caller may still write to its own
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+            if column.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {column.shape}")
             if len(column) != len(self.priority):
                 raise ValueError(f"{name} has {len(column)} entries, priority has {len(self.priority)}")
 
@@ -469,10 +471,13 @@ def _cells(column: Sequence[float | None] | np.ndarray) -> tuple[str, ...]:
 # Rows that write_trace_csv formats and writes at a time.
 _ROWS = 1024
 
+# The header of a snapshot file; a trace file's is CustomerRecord._fields.
+_SNAPSHOT_HEADER = ("snapshot_time", "priorities")
+
 
 def _check_cells(trace: SimTrace) -> None:
     """Refuse a NaN priority or arrival time: it would print as an empty cell,
-    which :func:`read_trace_csv` refuses and :func:`read_snapshots_csv` drops."""
+    which :func:`read_trace_csv` refuses and :func:`read_snapshots_csv` cannot read back."""
     if np.isnan(trace.priority).any() or np.isnan(trace.arrival_time).any():
         raise ValueError("a NaN priority or arrival time has no cell that read_trace_csv reads back")
 
@@ -519,14 +524,17 @@ def _real(cell: str) -> float | None:
     return float(cell) if cell else None
 
 
-def _csv_rows(path) -> list[dict[str, str]]:
-    """A CSV file's rows, keyed by its header. A row with more or fewer cells than the
-    header raises ValueError: ``csv.DictReader`` would pad it with None or drop cells."""
+def _csv_rows(path, header: tuple[str, ...]) -> list[list[str]]:
+    """A CSV file's rows after its header, each a list of cells. A first row that is not
+    exactly ``header`` (also in an empty file), or a row with another cell count (also a
+    blank line), raises ValueError naming the file."""
     rows = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
+        if next(reader, None) != list(header):
+            raise ValueError(f"the header of {path} is not {','.join(header)}")
         for row in reader:
-            if None in row or None in row.values():
+            if len(row) != len(header):
                 raise ValueError(f"line {reader.line_num} of {path} does not have one cell per header name")
             rows.append(row)
     return rows
@@ -535,14 +543,16 @@ def _csv_rows(path) -> list[dict[str, str]]:
 def read_trace_csv(path) -> SimTrace:
     """The trace a file written by :func:`write_trace_csv` holds, every column bit for bit.
 
-    Cells are read by header name, each by :func:`_real`, and the columns meet
-    :class:`SimTrace`'s value rules. ``customer_id``s other than 0, 1, ... in
-    order, and a row whose cell count is not the header's, raise ValueError.
+    Cells are read by position, each by :func:`_real`, and the columns meet
+    :class:`SimTrace`'s value rules. A header other than the writer's,
+    ``customer_id`` cells other than the texts 0, 1, ... in order, and a row
+    whose cell count is not the header's raise ValueError.
     """
-    rows = _csv_rows(path)
-    if [int(row["customer_id"]) for row in rows] != list(range(len(rows))):
+    rows = _csv_rows(path, CustomerRecord._fields)
+    ids, *columns = zip(*rows) if rows else [()] * len(CustomerRecord._fields)
+    if ids != tuple(map(str, range(len(rows)))):
         raise ValueError(f"customer ids in {path} do not count 0, 1, ... in order")
-    return SimTrace(*([_real(row[name]) for row in rows] for name in CustomerRecord._fields[1:]))
+    return SimTrace(*([_real(cell) for cell in column] for column in columns))
 
 
 def write_snapshots_csv(trace: SimTrace, path) -> None:
@@ -564,12 +574,15 @@ def write_snapshots_csv(trace: SimTrace, path) -> None:
         trace._snapshot_ends  # times the snapshot rule refuses raise here, before the file is opened
         rows = zip(trace._arrival_texts, trace._walk(trace._priority_texts))
     with open(path, "w", newline="") as handle:
-        handle.write("snapshot_time,priorities\r\n")
+        handle.write(",".join(_SNAPSHOT_HEADER) + "\r\n")
         handle.writelines(f"{time},{';'.join(levels)}\r\n" for time, levels in rows)
 
 
 def read_snapshots_csv(path) -> tuple[Snapshot, ...]:
-    """Parse a file written by :func:`write_snapshots_csv`; a row whose cell count
-    is not the header's raises ValueError."""
-    rows = [(row["snapshot_time"], row["priorities"].split(";")) for row in _csv_rows(path)]
-    return tuple(Snapshot(float(time), tuple(map(float, filter(None, cells)))) for time, cells in rows)
+    """Parse a file written by :func:`write_snapshots_csv`, refused as in :func:`read_trace_csv`.
+    An empty priorities cell is an empty snapshot; any other holds only numbers, so
+    ``0.25;;0.5`` and ``;`` raise ValueError."""
+    return tuple(
+        Snapshot(float(time), tuple(map(float, levels.split(";"))) if levels else ())
+        for time, levels in _csv_rows(path, _SNAPSHOT_HEADER)
+    )

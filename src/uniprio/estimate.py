@@ -352,20 +352,23 @@ def write_curve_csv(curve: CurveEstimate, path) -> None:
     _write_rows(curve.grid._center_texts, curve.values, path)
 
 
+_CURVE_HEADER = ("p", "value")
+
+
 def _write_rows(points: Sequence[str], values: Iterable[ExtendedReal | None], path) -> None:
-    """Write ``p,value`` rows from the points' cell texts and the values."""
+    """Write the curve header, then one row per point from its cell text and its value."""
     cells = _cells([None if v is None else v.value for v in values])
     if len(points) != len(cells):
         raise ValueError(f"{len(points)} points but {len(cells)} values")
     with open(path, "w", newline="") as handle:
-        handle.write("p,value\r\n")
+        handle.write(",".join(_CURVE_HEADER) + "\r\n")
         handle.writelines(f"{p},{v}\r\n" for p, v in zip(points, cells))
 
 
 def read_curve_csv(path) -> CurveEstimate:
-    """Rebuild a curve written by :func:`write_curve_csv`, exactly; a row whose cell
-    count is not the header's raises ValueError."""
-    rows = [(row["p"], row["value"]) for row in _csv_rows(path)]
+    """Rebuild a curve written by :func:`write_curve_csv`, exactly; a header other than the
+    writer's, or a row whose cell count is not the header's, raises ValueError."""
+    rows = _csv_rows(path, _CURVE_HEADER)
     if not rows:
         raise ValueError(f"no curve rows in {path}")
     grid = BinGrid(1.0 / len(rows))

@@ -11,6 +11,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 
 import uniprio
-from uniprio.analytics import SystemParams
+from uniprio.analytics import INFINITY, ExtendedReal, SystemParams
 from uniprio.des import (
     _ROWS,
     CustomerRecord,
@@ -36,7 +37,14 @@ from uniprio.des import (
     write_snapshots_csv,
     write_trace_csv,
 )
-from uniprio.estimate import BinGrid, DensityAccumulator, RecordBinStats
+from uniprio.estimate import (
+    BinGrid,
+    CurveEstimate,
+    DensityAccumulator,
+    RecordBinStats,
+    read_curve_csv,
+    write_curve_csv,
+)
 from uniprio.oracle import reference_simulate
 
 PARAMS = SystemParams(1.5, 2)
@@ -715,6 +723,13 @@ class TestTraceConstruction:
         with pytest.raises(ValueError, match="service_time has 1 entries, priority has 2"):
             SimTrace(*[np.array(c, dtype=np.float64) for c in self.COLUMNS[:4]], np.zeros(1))
 
+    def test_columns_that_are_not_one_dimensional_are_refused(self) -> None:
+        # Five (2, 1) columns agree in length, and would make a trace of two customers.
+        with pytest.raises(ValueError, match=r"priority must be one-dimensional, got shape \(2, 1\)"):
+            SimTrace(*[np.zeros((2, 1))] * 5)
+        with pytest.raises(ValueError, match=r"service_time must be one-dimensional, got shape \(\)"):
+            SimTrace(*[np.zeros(1)] * 4, np.zeros(()))
+
     @pytest.mark.parametrize("k", range(5), ids=CustomerRecord._fields[1:])
     def test_values_that_are_not_reals_are_refused(self, k) -> None:
         name = "priority level" if k == 0 else CustomerRecord._fields[1 + k]
@@ -833,7 +848,7 @@ class TestCsvRoundTrip:
             write_snapshots_csv(list(trace.snapshots), tmp_path / "snaps.csv")
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("ids", ["1,0", "0,2", "1,2"])
+    @pytest.mark.parametrize("ids", ["1,0", "0,2", "1,2", "0,0_1", "0,+1", "0, 1"])
     def test_ids_out_of_order_are_refused(self, tmp_path, ids) -> None:
         path = tmp_path / "trace.csv"
         write_trace_csv(SimTrace((0.25, 0.5), (0.0, 1.0), *[(None, None)] * 3), path)
@@ -859,6 +874,59 @@ class TestCsvRoundTrip:
         path = tmp_path / "snaps.csv"
         path.write_text(f"snapshot_time,priorities\r\n0.0,\r\n{row}\r\n")
         with pytest.raises(ValueError, match="line 3 of .* one cell per header name"):
+            read_snapshots_csv(path)
+
+
+# Ways a file's columns can differ from the ones its writer writes: one change of the
+# header's names and one of each row's cells, so that a reader by name would read on.
+_COLUMN_CHANGES = {
+    "missing": (lambda names: names[:-1], lambda cells: cells[:-1]),
+    "renamed": (lambda names: [*names[:-1], names[-1].upper()], lambda cells: cells),
+    "extra": (lambda names: [*names, "note"], lambda cells: [*cells, ""]),
+    "duplicated": (lambda names: [*names, names[-1]], lambda cells: [*cells, cells[-1]]),
+    "reordered": (lambda names: names[::-1], lambda cells: cells[::-1]),
+}
+
+
+class TestCsvHeaders:
+    """Every reader refuses a file whose header is not the one its writer writes."""
+
+    TRACE = SimTrace((0.25, 0.5), (0.0, 1.0), (0.0, 1.0), (2.0, None), (2.0, None))
+    CURVE = CurveEstimate(BinGrid(0.5), (ExtendedReal(1.0), INFINITY))
+    FILES = {
+        "trace": (lambda path: write_trace_csv(TestCsvHeaders.TRACE, path), read_trace_csv),
+        "snapshots": (lambda path: write_snapshots_csv(TestCsvHeaders.TRACE, path), read_snapshots_csv),
+        "curve": (lambda path: write_curve_csv(TestCsvHeaders.CURVE, path), read_curve_csv),
+    }
+
+    @pytest.mark.parametrize("change", [*_COLUMN_CHANGES, "empty"])
+    @pytest.mark.parametrize("kind", FILES)
+    def test_a_header_that_is_not_the_writers_is_refused(self, tmp_path, kind, change) -> None:
+        write, read = self.FILES[kind]
+        path = tmp_path / f"{kind}.csv"
+        write(path)
+        if change == "empty":
+            path.write_bytes(b"")
+        else:
+            names, cells = _COLUMN_CHANGES[change]
+            header, *rows = (line.split(",") for line in path.read_text().splitlines())
+            lines = [names(header), *map(cells, rows)]
+            path.write_text("".join(",".join(line) + "\r\n" for line in lines))
+        with pytest.raises(ValueError, match=f"header of {re.escape(str(path))}"):
+            read(path)
+
+    def test_a_header_only_trace_file_is_an_empty_trace(self, tmp_path) -> None:
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(CustomerRecord._fields) + "\r\n")
+        back = read_trace_csv(path)
+        assert len(back) == 0 and back.records == () and back.snapshots == ()
+
+    @pytest.mark.parametrize("cell", ["0.25;;0.5", ";"])
+    def test_a_snapshot_cell_with_an_empty_level_is_refused(self, tmp_path, cell) -> None:
+        # Read as 0.25;0.5 and as an empty snapshot, it would hide a lost level.
+        path = tmp_path / "snaps.csv"
+        path.write_text(f"snapshot_time,priorities\r\n0.0,\r\n1.0,{cell}\r\n")
+        with pytest.raises(ValueError, match="could not convert string to float: ''"):
             read_snapshots_csv(path)
 
 
