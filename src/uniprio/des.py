@@ -16,7 +16,8 @@ arrival is the sorted multiset of priorities present just before it joins.
 The event loop stores none of them: a trace's columns fix every snapshot. One
 walk over the arrivals, which places each customer by its rank in (level,
 arrival) order, builds the snapshots on first element access and writes a
-trace's snapshot file. :attr:`SimTrace.records` and :attr:`SimTrace.snapshots`
+trace's snapshot file, which is output only: a trace file read back gives its
+snapshots again. :attr:`SimTrace.records` and :attr:`SimTrace.snapshots`
 are read-only views, not tuples (unhashable, and ``isinstance(view, tuple)``
 is false), which both reductions take back to the trace's columns unbuilt.
 """
@@ -49,7 +50,6 @@ __all__ = [
     "write_trace_csv",
     "read_trace_csv",
     "write_snapshots_csv",
-    "read_snapshots_csv",
 ]
 
 
@@ -175,6 +175,8 @@ class SimTrace:
     def __post_init__(self) -> None:
         for k, name in enumerate(CustomerRecord._fields[1:]):
             column = getattr(self, name)
+            if not isinstance(column, (np.ndarray, Sequence)):
+                column = list(column)  # a one-shot iterable, which the type scan would use up
             if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
                 # Entries other than floats, or None where it is allowed, meet the real rule.
                 if not set(map(type, column)) <= ({float, type(None)} if k > 1 else {float}):
@@ -471,13 +473,10 @@ def _cells(column: Sequence[float | None] | np.ndarray) -> tuple[str, ...]:
 # Rows that write_trace_csv formats and writes at a time.
 _ROWS = 1024
 
-# The header of a snapshot file; a trace file's is CustomerRecord._fields.
-_SNAPSHOT_HEADER = ("snapshot_time", "priorities")
-
 
 def _check_cells(trace: SimTrace) -> None:
     """Refuse a NaN priority or arrival time: it would print as an empty cell,
-    which :func:`read_trace_csv` refuses and :func:`read_snapshots_csv` cannot read back."""
+    which :func:`read_trace_csv` refuses in those columns."""
     if np.isnan(trace.priority).any() or np.isnan(trace.arrival_time).any():
         raise ValueError("a NaN priority or arrival time has no cell that read_trace_csv reads back")
 
@@ -519,9 +518,16 @@ def write_trace_csv(trace: SimTrace, path) -> None:
             handle.writelines(f"{i},{p},{a},{e},{d},{s}\r\n" for i, p, a, e, d, s in rows)
 
 
-def _real(cell: str) -> float | None:
-    """The value of a cell :func:`_cells` wrote: None for an empty cell."""
-    return float(cell) if cell else None
+def _reals(cells: tuple[str, ...]) -> list[float | None]:
+    """The values of cells :func:`_cells` wrote: None for an empty cell. A cell that is not
+    the text :func:`_cells` writes for its value (``1_0``, ``nan``, or one with a space)
+    raises ValueError naming it."""
+    values = [float(cell) if cell else None for cell in cells]
+    texts = _cells(values)
+    if texts != cells:
+        cell = next(cell for cell, text in zip(cells, texts) if cell != text)
+        raise ValueError(f"cell {cell!r} is not a float as the CSV writers print it")
+    return values
 
 
 def _csv_rows(path, header: tuple[str, ...]) -> list[list[str]]:
@@ -543,8 +549,8 @@ def _csv_rows(path, header: tuple[str, ...]) -> list[list[str]]:
 def read_trace_csv(path) -> SimTrace:
     """The trace a file written by :func:`write_trace_csv` holds, every column bit for bit.
 
-    Cells are read by position, each by :func:`_real`, and the columns meet
-    :class:`SimTrace`'s value rules. A header other than the writer's,
+    Cells are read by position, a column at a time by :func:`_reals`, and the
+    columns meet :class:`SimTrace`'s value rules. A header other than the writer's,
     ``customer_id`` cells other than the texts 0, 1, ... in order, and a row
     whose cell count is not the header's raise ValueError.
     """
@@ -552,7 +558,7 @@ def read_trace_csv(path) -> SimTrace:
     ids, *columns = zip(*rows) if rows else [()] * len(CustomerRecord._fields)
     if ids != tuple(map(str, range(len(rows)))):
         raise ValueError(f"customer ids in {path} do not count 0, 1, ... in order")
-    return SimTrace(*([_real(cell) for cell in column] for column in columns))
+    return SimTrace(*map(_reals, columns))
 
 
 def write_snapshots_csv(trace: SimTrace, path) -> None:
@@ -564,8 +570,8 @@ def write_snapshots_csv(trace: SimTrace, path) -> None:
     snapshots formats nothing. Rows are formatted directly: a float repr holds no comma,
     quote or line break, so ``csv.writer`` would quote nothing either. A NaN
     priority or arrival time raises ValueError before the file is opened, as
-    in :func:`write_trace_csv`: its empty cell would not read back; so do
-    times the snapshot rule of :attr:`SimTrace.snapshots` refuses.
+    in :func:`write_trace_csv`; so do times the snapshot rule of
+    :attr:`SimTrace.snapshots` refuses.
     """
     kept = vars(trace).get("_snapshot_tuple") != ()  # () when not stored, or no arrival
     _check_cells(trace)
@@ -574,15 +580,6 @@ def write_snapshots_csv(trace: SimTrace, path) -> None:
         trace._snapshot_ends  # times the snapshot rule refuses raise here, before the file is opened
         rows = zip(trace._arrival_texts, trace._walk(trace._priority_texts))
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(_SNAPSHOT_HEADER) + "\r\n")
+        handle.write("snapshot_time,priorities\r\n")
         handle.writelines(f"{time},{';'.join(levels)}\r\n" for time, levels in rows)
 
-
-def read_snapshots_csv(path) -> tuple[Snapshot, ...]:
-    """Parse a file written by :func:`write_snapshots_csv`, refused as in :func:`read_trace_csv`.
-    An empty priorities cell is an empty snapshot; any other holds only numbers, so
-    ``0.25;;0.5`` and ``;`` raise ValueError."""
-    return tuple(
-        Snapshot(float(time), tuple(map(float, levels.split(";"))) if levels else ())
-        for time, levels in _csv_rows(path, _SNAPSHOT_HEADER)
-    )

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analytics import INFINITY, ExtendedReal, _as_real, _check_level
-from .des import CustomerRecord, SimTrace, Snapshot, _cells, _csv_rows, _real, _Records, _Snapshots
+from .des import CustomerRecord, SimTrace, Snapshot, _cells, _csv_rows, _reals, _Records, _Snapshots
 
 __all__ = [
     "BinGrid",
@@ -367,15 +367,14 @@ def _write_rows(points: Sequence[str], values: Iterable[ExtendedReal | None], pa
 
 def read_curve_csv(path) -> CurveEstimate:
     """Rebuild a curve written by :func:`write_curve_csv`, exactly; a header other than the
-    writer's, or a row whose cell count is not the header's, raises ValueError."""
+    writer's, a row whose cell count is not the header's, and a cell that is not a float
+    as the writer prints it (see :func:`uniprio.des._reals`) raise ValueError."""
     rows = _csv_rows(path, _CURVE_HEADER)
     if not rows:
         raise ValueError(f"no curve rows in {path}")
     grid = BinGrid(1.0 / len(rows))
-    values: list[ExtendedReal | None] = []
-    for (p_text, value_text), center in zip(rows, grid.centers):
-        if float(p_text) != center:
-            raise ValueError(f"row center {p_text} does not match grid center {center!r}")
-        value = _real(value_text)
-        values.append(None if value is None else ExtendedReal(value))
-    return CurveEstimate(grid, tuple(values))
+    points, values = zip(*rows)
+    for p, center in zip(_reals(points), grid.centers):
+        if p != center:
+            raise ValueError(f"row center {p!r} does not match grid center {center!r}")
+    return CurveEstimate(grid, tuple(None if v is None else ExtendedReal(v) for v in _reals(values)))

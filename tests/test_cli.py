@@ -29,7 +29,7 @@ from uniprio.cli import (
     replication_seed,
     run_experiment,
 )
-from uniprio.des import read_snapshots_csv, read_trace_csv, simulate
+from uniprio.des import read_trace_csv, simulate
 from uniprio.estimate import (
     BinGrid,
     CensoredPolicy,
@@ -222,7 +222,7 @@ class TestRunExperiment:
         # The parent merges each replication's density in replication order.
         own = [
             DensityAccumulator(BinGrid(0.25))
-            .add_snapshots(read_snapshots_csv(par.output_dir / f"snapshots_rep{r:03d}.csv"))
+            .add_trace(read_trace_csv(par.output_dir / f"trace_rep{r:03d}.csv"))
             .curve()
             for r in range(5)
         ]
