@@ -434,8 +434,6 @@ def mean_measure(params: SystemParams, a: float, b: float) -> ExtendedReal:
         return ExtendedReal(0.0)
     if low == math.inf:
         return INFINITY
-    if high == math.inf:
-        raise ValueError("value is infinite")
     diff = low - high
     # The analytic difference is nonnegative; absorb last-ulp rounding noise.
     return ExtendedReal(diff if diff > 0.0 else 0.0)

@@ -25,6 +25,7 @@ is false), which both reductions take back to the trace's columns unbuilt.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 from bisect import bisect_left, insort
@@ -532,17 +533,26 @@ def _reals(cells: tuple[str, ...]) -> list[float | None]:
 
 def _csv_rows(path, header: tuple[str, ...]) -> list[list[str]]:
     """A CSV file's rows after its header, each a list of cells. A first row that is not
-    exactly ``header`` (also in an empty file), or a row with another cell count (also a
-    blank line), raises ValueError naming the file."""
-    rows = []
+    exactly ``header`` (also in an empty file), a row with another cell count (also a
+    blank line), a NUL byte, or a line ``csv.reader`` refuses (such as a cell past its
+    field size limit) raises ValueError naming the file and the line."""
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
+        text = handle.read()
+    nul = text.find("\0")  # csv.reader refuses a NUL before Python 3.11 and reads it into a cell after
+    if nul >= 0:
+        line = text.count("\n", 0, nul) + 1
+        raise ValueError(f"line {line} of {path} holds a NUL byte")
+    rows = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
         if next(reader, None) != list(header):
             raise ValueError(f"the header of {path} is not {','.join(header)}")
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"line {reader.line_num} of {path} does not have one cell per header name")
             rows.append(row)
+    except csv.Error as error:
+        raise ValueError(f"line {reader.line_num} of {path} is not CSV: {error}") from None
     return rows
 
 

@@ -90,25 +90,21 @@ class BinGrid:
         i = int(_check_level(p) * n)
         return i if i < n else n - 1
 
-    def indices(self, levels: Sequence[float] | np.ndarray, kept: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`index_of` of each level, or of each one the boolean mask ``kept`` selects.
+    def indices(self, levels: Sequence[float] | np.ndarray) -> np.ndarray:
+        """:meth:`index_of` of each level.
 
         Other entries than floats, in a sequence that is not a float64 array,
         meet the level rule one by one, as in a hand-built trace's columns.
         """
-        if isinstance(levels, np.ndarray) and levels.dtype == np.float64:  # such as a trace's column
-            q = levels if kept is None else levels[kept]
-        else:
-            if kept is not None:
-                levels = [levels[i] for i in np.flatnonzero(kept).tolist()]
+        if not (isinstance(levels, np.ndarray) and levels.dtype == np.float64):  # a trace's column is taken as it is
             if not set(map(type, levels)) <= {float}:
                 levels = [_as_real("priority level", x) for x in levels]
-            q = np.frombuffer(array("d", levels))
-        outside = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both comparisons
+            levels = np.frombuffer(array("d", levels))
+        outside = levels[~((levels >= 0.0) & (levels <= 1.0))]  # NaN fails both comparisons
         if outside.size:
             raise ValueError(f"priority {outside[0]} outside [0, 1] fits no bin")
         n = self.n_bins
-        return np.minimum((q * n).astype(np.int64), n - 1)
+        return np.minimum((levels * n).astype(np.int64), n - 1)
 
 
 @dataclass(frozen=True)
@@ -127,11 +123,6 @@ class CurveEstimate:
             raise ValueError(
                 f"expected {self.grid.n_bins} values, got {len(self.values)}"
             )
-
-
-# Snapshot entries binned per numpy call in ``DensityAccumulator.add_snapshots``:
-# large enough to amortise the call, small enough to add no visible memory.
-_BLOCK = 4096
 
 
 class _BinTallies:
@@ -163,10 +154,9 @@ class DensityAccumulator(_BinTallies):
     """Per-bin population counts over arrival snapshots, mergeable across replications.
 
     A customer contributes one to its bin at every snapshot it is present
-    for: :meth:`add_trace` counts those snapshots from a trace's columns,
-    :meth:`add_snapshots` bins stored ones. Snapshots before ``start_time``
-    are ignored (warm-up). The rows hold the head counts and, in every bin,
-    the snapshot count.
+    for, which :meth:`add_trace` counts from a trace's columns. Snapshots
+    before ``start_time`` are ignored (warm-up). The rows hold the head
+    counts and, in every bin, the snapshot count.
     """
 
     rows = 2
@@ -188,34 +178,16 @@ class DensityAccumulator(_BinTallies):
         self._tallies[1] += n - first
         return self
 
-    def add_snapshots(self, snapshots: Iterable[Snapshot]) -> "DensityAccumulator":
-        """Add stored snapshots, binned in blocks of about ``_BLOCK`` entries and added at the end.
+    def add_snapshots(self, snapshots: Sequence[Snapshot]) -> "DensityAccumulator":
+        """Add a trace's own :attr:`SimTrace.snapshots` view through :meth:`add_trace`, unbuilt.
 
-        A level that is not a number in [0, 1], or a snapshot time that is not
-        a number or is NaN, raises ValueError and adds nothing. A trace's own
-        :attr:`SimTrace.snapshots` view goes to :meth:`add_trace`, unbuilt, with
-        identical sums. That path checks every customer's level, so it also
-        refuses a level outside [0, 1] that no snapshot at or after
-        ``start_time`` shows, which the stored path (``tuple(view)``, or a
-        slice) bins without ever reading.
+        ``()``, what a trace without kept snapshots gives, adds nothing; any other input (a
+        list, ``tuple(view)``, a slice) raises TypeError: the trace's columns fix every snapshot.
         """
         if isinstance(snapshots, _Snapshots):
             return self.add_trace(snapshots._trace)
-        sums, block, count = np.zeros(self.grid.n_bins), [], 0
-        for time, priorities in snapshots:
-            time = _as_real("snapshot time", time)
-            if not time >= self.start_time:
-                if time != time:  # NaN, which fails every comparison
-                    raise ValueError("snapshot times must not be NaN")
-                continue
-            block.extend(priorities)
-            count += 1
-            if len(block) >= _BLOCK:
-                sums += np.bincount(self.grid.indices(block), minlength=self.grid.n_bins)
-                block = []
-        sums += np.bincount(self.grid.indices(block), minlength=self.grid.n_bins)
-        self._tallies[0] += sums
-        self._tallies[1] += count
+        if type(snapshots) is not tuple or snapshots:
+            raise TypeError("add_snapshots takes a trace's own snapshots view; pass the trace to add_trace")
         return self
 
     @property
@@ -246,33 +218,28 @@ class RecordBinStats(_BinTallies):
 
     rows = 4  # departed, censored, sojourn sum, waiting sum
 
-    def add(self, trace_or_records: SimTrace | Iterable[CustomerRecord]) -> "RecordBinStats":
-        """Tally customers whose arrival is at or after ``start_time``.
+    def add(self, trace: SimTrace | Sequence[CustomerRecord]) -> "RecordBinStats":
+        """Tally a trace's customers whose arrival is at or after ``start_time``.
 
-        A trace hands over its columns, and so does its :attr:`SimTrace.records`
-        view, unbuilt; other records are made a trace first, which refuses a
-        field that is not a number, whatever its arrival, and their own ids
-        name them in messages. Every customer to be tallied is then
-        checked, and a fault raises ValueError and changes no tally: first any
-        priority outside [0, 1], then any arrival that is not finite,
-        departure that is not finite or precedes its arrival, or departure
-        without a service entry or with a service time that is missing or
-        outside [0, sojourn].
+        A trace's own :attr:`SimTrace.records` view stands for its trace, unbuilt;
+        any other input raises TypeError. Every customer to be tallied is checked,
+        and a fault raises ValueError naming the customer by its index (its id) and
+        changes no tally: first any priority outside [0, 1], then any arrival that
+        is not finite, departure that is not finite or precedes its arrival, or
+        departure without a service entry or with a service time that is missing
+        or outside [0, sojourn].
 
         Each tally is one ``np.bincount``, which adds in input order, so one
         call on a fresh instance sums exactly as a loop over the customers
         would. Further calls add their per-call sums, as :meth:`merge` would.
         """
-        if isinstance(trace_or_records, _Records):
-            trace_or_records = trace_or_records._trace
-        if isinstance(trace_or_records, SimTrace):
-            ids, trace = range(len(trace_or_records)), trace_or_records
-        else:  # no record gives six empty columns
-            ids, *fields = tuple(zip(*trace_or_records)) or ((),) * 6
-            trace = SimTrace(*fields)
+        if isinstance(trace, _Records):
+            trace = trace._trace
+        if not isinstance(trace, SimTrace):
+            raise TypeError(f"add takes a SimTrace or its own records view, got {type(trace).__name__}")
         arrival, departure = trace.arrival_time, trace.departure_time
         kept = ~(arrival < self.start_time)
-        bins = self.grid.indices(trace.priority, kept)
+        bins = self.grid.indices(trace.priority[kept])
         done = ~np.isnan(departure)
         untimed = ~np.isfinite(arrival) | np.isinf(departure) | (departure < arrival)
         no_entry = done & np.isnan(trace.last_service_entry)
@@ -285,11 +252,11 @@ class RecordBinStats(_BinTallies):
         if bad.size:
             i = bad[0]
             if untimed[i]:
-                raise ValueError(f"customer {ids[i]} arrives at {arrival[i]}, departs at {departure[i]}")
+                raise ValueError(f"customer {i} arrives at {arrival[i]}, departs at {departure[i]}")
             if no_entry[i] or np.isnan(served[i]):
                 missing = "service entry" if no_entry[i] else "service time"
-                raise ValueError(f"departed customer {ids[i]} has no {missing}")
-            raise ValueError(f"departed customer {ids[i]} has service time {served[i]} outside [0, {span[i]}]")
+                raise ValueError(f"departed customer {i} has no {missing}")
+            raise ValueError(f"departed customer {i} has service time {served[i]} outside [0, {span[i]}]")
 
         n = self.grid.n_bins
         finished = kept & done

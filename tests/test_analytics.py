@@ -16,7 +16,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from uniprio.analytics import (
     INFINITY,
@@ -361,6 +361,25 @@ class TestMeanMeasure:
         whole = mean_measure(TWO_SERVER, lo, hi).finite
         split = mean_measure(TWO_SERVER, lo, mid).finite + mean_measure(TWO_SERVER, mid, hi).finite
         assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)
+
+    @given(
+        alpha=st.floats(0.05, 100.0),
+        c=st.integers(1, 60),
+        ulps=st.integers(0, 4),
+        gap=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_finite_whenever_the_lower_end_is_stable(self, alpha: float, c: int, ulps: int, gap: float) -> None:
+        # In floating point (1 - b) alpha <= (1 - a) alpha < c for a < b, so level b is
+        # stable too and the difference never meets an infinite upper tail mean.
+        params = SystemParams(alpha, c)
+        a = max(0.0, 1.0 - c / alpha)  # near p*, where rounding could matter
+        for _ in range(ulps):
+            a = math.nextafter(a, 1.0)
+        b = min(1.0, math.nextafter(a, 1.0) + gap * (1.0 - a))
+        assume(a < b and is_stable(params, a))
+        assert is_stable(params, b) and expected_tail_count(params, b).is_finite
+        assert mean_measure(params, a, b).is_finite
 
 
 class TestComposition:

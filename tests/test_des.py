@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import uniprio
+from references import stored_counts
 from uniprio.analytics import INFINITY, ExtendedReal, SystemParams
 from uniprio.des import (
     _ROWS,
@@ -600,12 +601,13 @@ class TestObserver:
 
     @pytest.mark.parametrize("quantile", [None, lambda u: u**2], ids=["uniform", "squared"])
     def test_observer_equals_the_stored_snapshots_bit_for_bit(self, quantile) -> None:
-        # add_snapshots(trace.snapshots) goes to the columns too; tuple(view) takes the stored path.
+        # The observer counts from the columns; the stored snapshots are binned one level at a time.
         density = DensityAccumulator(BinGrid(0.1))
         simulate(SimConfig(PARAMS, 300.0, 31, priority_quantile=quantile, record_snapshots=False), observer=density)
         kept = simulate(SimConfig(PARAMS, 300.0, 31, priority_quantile=quantile))
-        stored = DensityAccumulator(BinGrid(0.1)).add_snapshots(tuple(kept.snapshots))
-        assert stored._tallies.tobytes() == density._tallies.tobytes() and stored.snapshot_count == len(kept)
+        count, heads = stored_counts(tuple(kept.snapshots), BinGrid(0.1), 0.0)
+        assert density._tallies.tobytes() == np.array([heads, [count] * 10], dtype=np.float64).tobytes()
+        assert count == len(kept)
 
 
 def _columns(trace: SimTrace) -> list[np.ndarray]:
@@ -892,6 +894,19 @@ class TestCsvRoundTrip:
         second = "1,0.5,1.0" if cut == "short" else f"{second},9.0"
         path.write_text("\n".join([header, first, second]) + "\n")
         with pytest.raises(ValueError, match="line 3 of .* one cell per header name"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "cell, message", [("\0", "holds a NUL byte"), ("1" * 200_000, "is not CSV")], ids=["nul", "past-field-limit"]
+    )
+    def test_a_line_csv_reader_cannot_read_is_refused_by_file_and_line(self, tmp_path, cell, message) -> None:
+        # csv.reader raises csv.Error, not a ValueError, at a cell past its field size limit;
+        # at a NUL byte it does before Python 3.11, and from then on reads one into the cell.
+        path = tmp_path / "trace.csv"
+        write_trace_csv(SimTrace((0.25, 0.5), (0.0, 1.0), (0.0, 1.0), (2.0, 3.0), (2.0, 2.0)), path)
+        header, first, second = path.read_text().splitlines()
+        path.write_text(f"{header}\r\n{first}\r\n{second}{cell}\r\n")
+        with pytest.raises(ValueError, match=f"line 3 of {re.escape(str(path))} {message}"):
             read_trace_csv(path)
 
 

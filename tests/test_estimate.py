@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import csv
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from references import loop_tallies, stored_counts, swept_counts
 from uniprio.analytics import INFINITY, ExtendedReal, SystemParams
 from uniprio.des import CustomerRecord, SimConfig, SimTrace, Snapshot, simulate, write_trace_csv
 from uniprio.oracle import reference_simulate
@@ -19,7 +19,6 @@ from uniprio.estimate import (
     CurveEstimate,
     DensityAccumulator,
     RecordBinStats,
-    _BLOCK,
     read_curve_csv,
     write_curve_csv,
     write_points_csv,
@@ -28,15 +27,9 @@ from uniprio.estimate import (
 GRID20 = BinGrid(0.05)
 
 
-def record(
-    cid: int,
-    priority: float,
-    arrival: float,
-    entered: float | None,
-    departed: float | None,
-    service_time: float | None,
-) -> CustomerRecord:
-    return CustomerRecord(cid, priority, arrival, entered, departed, service_time)
+def customers(*rows) -> SimTrace:
+    """A trace of one customer per row of (priority, arrival, entry, departure, service time)."""
+    return SimTrace(*zip(*rows))
 
 
 def hand_trace(priority, arrival, departure) -> SimTrace:
@@ -45,47 +38,14 @@ def hand_trace(priority, arrival, departure) -> SimTrace:
     return SimTrace(tuple(priority), tuple(arrival), tuple(arrival), tuple(departure), served)
 
 
-def swept_counts(trace: SimTrace, grid: BinGrid, start_time: float) -> tuple[int, list[int]]:
-    """Reference: walk the events in time order, an arrival before a departure
-    at the same instant, and add up the per-bin head count that each arrival
-    at or after ``start_time`` sees."""
-    bins = [grid.index_of(p) for p in trace.priority]
-    events = sorted(
-        [(a, 0, i) for i, a in enumerate(trace.arrival_time)]
-        + [(d, 1, i) for i, d in enumerate(trace.departure_time) if not math.isnan(d)]
-    )
-    present, sums, snapshots = [0] * grid.n_bins, [0] * grid.n_bins, 0
-    for time, leaving, i in events:
-        if leaving:
-            present[bins[i]] -= 1
-            continue
-        if time >= start_time:
-            snapshots += 1
-            sums = [s + k for s, k in zip(sums, present)]
-        present[bins[i]] += 1
-    return snapshots, sums
+def part(trace: SimTrace, index: slice) -> SimTrace:
+    """The customers ``index`` selects, as a trace of their own."""
+    return SimTrace(*(getattr(trace, name)[index] for name in CustomerRecord._fields[1:]))
 
 
 def tallies(stats: RecordBinStats) -> tuple[list, ...]:
     """Departed, censored, sojourn and waiting tallies, one fresh list each."""
     return tuple(stats._tallies.tolist())
-
-
-def loop_tallies(records, grid: BinGrid, start_time: float) -> tuple[list, ...]:
-    """Reference: the per-record loop, adding each delay in record order."""
-    n = grid.n_bins
-    departed, censored, sojourn, waiting = [0] * n, [0] * n, [0.0] * n, [0.0] * n
-    for r in records:
-        if r.arrival_time < start_time:
-            continue
-        i = grid.index_of(r.priority)
-        if r.is_censored:
-            censored[i] += 1
-        else:
-            departed[i] += 1
-            sojourn[i] += r.sojourn
-            waiting[i] += r.waiting
-    return departed, censored, sojourn, waiting
 
 
 class TestBinGrid:
@@ -147,24 +107,16 @@ class TestBinGrid:
         with pytest.raises(ValueError, match="priority level must be a number"):
             GRID20.indices([0.5, bad, 0.25])
 
-    def test_indices_check_only_the_masked_levels(self) -> None:
-        kept = np.array([False, True, True, False])
-        assert GRID20.indices((True, 0.5, 0.0, "x"), kept).tolist() == [10, 0]
-        assert GRID20.indices((True, 0.5, 0.0, 1), kept).tolist() == [10, 0]
-        # A bool is found at its own position, past the entries the mask drops.
-        with pytest.raises(ValueError, match="got False"):
-            GRID20.indices((True, 0.5, False, 0.25), kept)
-        with pytest.raises(ValueError, match="priority level must be a number"):
-            GRID20.indices(np.array([False, True]), np.array([False, True]))
-
     def test_reductions_check_only_the_levels_they_tally(self) -> None:
-        early = Snapshot(0.0, (True,)), Snapshot(2.0, (0.5,))
-        assert DensityAccumulator(GRID20, 1.0).add_snapshots(early).snapshot_count == 1
-        # Records are made a trace first, which checks every level's type, tallied or not.
-        records = [record(0, True, 0.0, 0.0, 1.0, 1.0), record(1, 0.5, 2.0, 2.0, 3.0, 1.0)]
-        for start_time in (1.0, 0.0):
-            with pytest.raises(ValueError, match="priority level must be a number"):
-                RecordBinStats(GRID20, start_time).add(records)
+        # Customer 0 leaves before customer 1 arrives: no snapshot shows its level.
+        trace = hand_trace((1.5, 0.5), (0.0, 2.0), (1.0, 3.0))
+        # The delays tally only the customers from start_time on, and check only their levels.
+        assert RecordBinStats(GRID20, 1.0).add(trace).departed_total == 1
+        with pytest.raises(ValueError, match="priority 1.5 outside"):
+            RecordBinStats(GRID20, 0.0).add(trace)
+        # The density bins every customer, weighted by the kept snapshots it is in, so checks all.
+        with pytest.raises(ValueError, match="priority 1.5 outside"):
+            DensityAccumulator(GRID20, 1.0).add_trace(trace)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -175,26 +127,30 @@ class TestBinGrid:
 
 class TestDensityEstimation:
     def test_two_snapshot_worked_example(self) -> None:
-        # Bin width one half: counts 1 then 2 in the lower bin, so the
-        # density there is (1/0.5) * mean = 2 * 1.5 = 3; upper bin stays 0.
-        snaps = [Snapshot(0.4, (0.1,)), Snapshot(1.1, (0.1, 0.3))]
-        curve = DensityAccumulator(BinGrid(0.5)).add_snapshots(snaps).curve()
+        # Warm-up ends at 0.2, so the arrivals at 0.4 and 1.1 see 1 then 2 in the lower
+        # bin of width one half: the density there is (1/0.5) * mean = 2 * 1.5 = 3, and
+        # the upper bin, which no snapshot shows, stays 0.
+        trace = hand_trace((0.1, 0.3, 0.7), (0.0, 0.4, 1.1), (None, None, None))
+        assert [s.priorities for s in trace.snapshots[1:]] == [(0.1,), (0.1, 0.3)]
+        curve = DensityAccumulator(BinGrid(0.5), 0.2).add_snapshots(trace.snapshots).curve()
         assert curve.values[0] == ExtendedReal(3.0)
         assert curve.values[1] == ExtendedReal(0.0)
 
     def test_refuses_a_nan_snapshot_time(self) -> None:
-        # As add_trace refuses a NaN arrival time; nothing is added, not even a kept snapshot before it.
+        # A snapshot is taken at each arrival; nothing is added, not even a kept snapshot before it.
         acc = DensityAccumulator(BinGrid(0.5), 1.0)
-        nan_first = [Snapshot(math.nan, (0.2,)), Snapshot(0.5, (0.7,))]
-        for snaps in (nan_first, [Snapshot(2.0, (0.7,)), Snapshot(math.nan, ())]):
+        for arrival in ((math.nan, 0.5), (2.0, math.nan)):
+            trace = hand_trace((0.2, 0.7), arrival, (None, None))
             with pytest.raises(ValueError, match="NaN"):
-                acc.add_snapshots(snaps)
+                acc.add_snapshots(trace.snapshots)
+            with pytest.raises(ValueError, match="NaN"):
+                acc.add_trace(trace)
         assert acc.snapshot_count == 0 and acc.curve().values == (None, None)
 
     def test_no_snapshots_give_no_data_in_every_bin(self) -> None:
         acc = DensityAccumulator(BinGrid(0.25), start_time=1.0)
-        acc.add_snapshots([Snapshot(0.5, (0.1, 0.6))])
-        acc.add_trace(hand_trace((0.3, 0.8), (0.2, 0.7), (None, 0.9)))  # all before warm-up ends
+        trace = hand_trace((0.3, 0.8), (0.2, 0.7), (None, 0.9))  # all before warm-up ends
+        acc.add_snapshots(trace.snapshots).add_trace(trace)
         assert acc.snapshot_count == 0
         assert acc.curve().values == (None,) * 4
 
@@ -233,19 +189,16 @@ class TestDensityEstimation:
         acc = DensityAccumulator(grid, start_time=2.0).add_trace(trace)
         assert acc.snapshot_count == 3
         assert acc.curve().values == (ExtendedReal(8 / 3), ExtendedReal(4 / 3))
-        snaps = [
+        snaps = (
             Snapshot(0.0, ()),
             Snapshot(1.0, (0.1,)),
             Snapshot(1.5, (0.1, 0.6)),
             Snapshot(2.0, (0.1, 0.6)),
             Snapshot(3.0, (0.1, 0.6)),
             Snapshot(4.0, (0.1, 0.3)),
-        ]
-        assert trace.snapshots == tuple(snaps)
-        offline = DensityAccumulator(grid, start_time=2.0).add_snapshots(snaps)
-        assert offline.snapshot_count == 3
-        assert offline.curve().values == acc.curve().values
-        assert swept_counts(trace, grid, 2.0) == (3, [4, 2])
+        )
+        assert trace.snapshots == snaps
+        assert swept_counts(trace, grid, 2.0) == stored_counts(snaps, grid, 2.0) == (3, [4, 2])
 
     @pytest.mark.parametrize("simulator", [simulate, reference_simulate])
     @pytest.mark.parametrize("start_time", [0.0, 30.0])
@@ -255,15 +208,18 @@ class TestDensityEstimation:
         trace = simulator(SimConfig(SystemParams(3.0, 2), 120.0, 4, priority_quantile=quantile))
         assert {repr(p) for p in trace.priority.tolist()} >= {"-0.0", "0.0"}
         columns = DensityAccumulator(GRID20, start_time).add_trace(trace)
-        stored = DensityAccumulator(GRID20, start_time).add_snapshots(trace.snapshots)
-        assert columns.snapshot_count == stored.snapshot_count > 0
-        assert columns._tallies.tobytes() == stored._tallies.tobytes()
-        assert columns.curve().values == stored.curve().values
+        viewed = DensityAccumulator(GRID20, start_time).add_snapshots(trace.snapshots)
+        assert columns.snapshot_count == viewed.snapshot_count > 0
+        assert columns._tallies.tobytes() == viewed._tallies.tobytes()
+        assert columns.curve().values == viewed.curve().values
+        assert (columns.snapshot_count, columns._tallies[0].tolist()) == swept_counts(trace, GRID20, start_time)
 
     def test_empty_trace_adds_nothing(self) -> None:
-        acc = DensityAccumulator(GRID20).add_snapshots([Snapshot(0.0, (0.3, 0.9))])
+        acc = DensityAccumulator(GRID20).add_trace(hand_trace((0.3, 0.9, 0.5), (0.0, 0.5, 1.0), (None,) * 3))
         state = (acc._tallies.tolist(), acc.snapshot_count)
         acc.add_trace(hand_trace((), (), ()))
+        assert (acc._tallies.tolist(), acc.snapshot_count) == state
+        acc.add_snapshots(())  # what a trace that kept no snapshots gives
         assert (acc._tallies.tolist(), acc.snapshot_count) == state
         assert DensityAccumulator(GRID20).add_trace(hand_trace((), (), ())).snapshot_count == 0
 
@@ -275,20 +231,23 @@ class TestDensityEstimation:
             assert type(reduction(GRID20, start_time=1).start_time) is float
 
     def test_warmup_skips_early_snapshots(self) -> None:
-        snaps = [Snapshot(0.5, (0.1,)), Snapshot(2.0, (0.7,))]
+        # Snapshots at 0.0, 0.5 and 2.0: only the last, which shows 0.7, is from 1.0 on.
+        trace = hand_trace((0.1, 0.7, 0.3), (0.0, 0.5, 2.0), (1.0, None, None))
+        assert trace.snapshots[1:] == (Snapshot(0.5, (0.1,)), Snapshot(2.0, (0.7,)))
         acc = DensityAccumulator(BinGrid(0.5), start_time=1.0)
-        acc.add_snapshots(snaps)
+        acc.add_snapshots(trace.snapshots)
         assert acc.snapshot_count == 1
         assert acc.curve().values[1] == ExtendedReal(2.0)
 
     def test_merge_equals_single_pass(self) -> None:
-        trace = simulate(SimConfig(SystemParams(1.5, 2), 400.0, 10))
+        first, second = (simulate(SimConfig(SystemParams(1.5, 2), 200.0, seed)) for seed in (10, 11))
         whole = DensityAccumulator(GRID20)
-        whole.add_snapshots(trace.snapshots)
+        whole.add_snapshots(first.snapshots).add_snapshots(second.snapshots)
         left, right = DensityAccumulator(GRID20), DensityAccumulator(GRID20)
-        left.add_snapshots(trace.snapshots[:100])
-        right.add_snapshots(trace.snapshots[100:])
+        left.add_snapshots(first.snapshots)
+        right.add_snapshots(second.snapshots)
         left.merge(right)
+        assert left._tallies.tobytes() == whole._tallies.tobytes()
         assert left.curve().values == whole.curve().values
 
     def test_merge_rejects_mismatched_grids(self) -> None:
@@ -298,7 +257,7 @@ class TestDensityEstimation:
     def test_merge_rejects_mismatched_start_times(self) -> None:
         acc = DensityAccumulator(GRID20, 10.0)
         with pytest.raises(ValueError, match="start times"):
-            acc.merge(DensityAccumulator(GRID20, 0.0).add_snapshots([Snapshot(1.0, (0.5,))]))
+            acc.merge(DensityAccumulator(GRID20, 0.0).add_trace(hand_trace((0.5, 0.25), (0.0, 1.0), (None, None))))
         assert acc.snapshot_count == 0
         assert acc.merge(DensityAccumulator(GRID20, 10.0)).snapshot_count == 0
 
@@ -325,46 +284,29 @@ class TestDensityEstimation:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 10, 20, 49, 100])
     def test_block_binning_follows_index_of_at_every_edge(self, n: int) -> None:
+        # A trace's level column is binned as one block; the second arrival sees the first level alone.
         grid = BinGrid(1.0 / n)
         levels = {0.0, 1.0}
         for k in range(n + 1):
             edge = k / n
             levels.update((edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)))
         for q in sorted(x for x in levels if 0.0 <= x <= 1.0):
-            curve = DensityAccumulator(grid).add_snapshots([Snapshot(0.0, (q,))]).curve()
+            trace = hand_trace((q, 0.5), (0.0, 1.0), (None, None))
+            curve = DensityAccumulator(grid).add_snapshots(trace.snapshots).curve()
             hit = [i for i, v in enumerate(curve.values) if v.finite]
             assert hit == [grid.index_of(q)], q
 
-    def test_many_blocks_equal_a_hand_tally(self) -> None:
-        # Small snapshots, one larger than a block, and warm-up snapshots
-        # that must not count, spread over several blocks.
-        rng = random.Random(5)
-        sizes = [3] * 2500 + [_BLOCK + 7] + [0, 1] * 40
-        snaps = [Snapshot(0.001 * t, tuple(rng.random() for _ in range(k))) for t, k in enumerate(sizes)]
-        assert sum(sizes) > 2 * _BLOCK
-        grid = BinGrid(0.1)
-        start = 0.5
-        counts = [0] * grid.n_bins
-        kept = 0
-        for time, priorities in snaps:
-            if time >= start:
-                kept += 1
-                for q in priorities:
-                    counts[grid.index_of(q)] += 1
-        acc = DensityAccumulator(grid, start_time=start).add_snapshots(snaps)
-        assert acc.snapshot_count == kept
-        assert acc.curve().values == tuple(ExtendedReal(grid.n_bins * c / kept) for c in counts)
-
     @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
     def test_rejects_levels_outside_the_unit_interval(self, bad: float) -> None:
-        snaps = [Snapshot(0.0, (0.5,) * _BLOCK), Snapshot(1.0, (0.2, bad, 0.7))]
+        good = hand_trace((0.5,) * 4, (0.0, 1.0, 2.0, 3.0), (None,) * 4)
+        trace = hand_trace((0.5,) * 4 + (0.2, bad, 0.7), tuple(map(float, range(7))), (None,) * 7)
         acc = DensityAccumulator(GRID20)
         with pytest.raises(ValueError, match="outside"):
-            acc.add_snapshots(snaps)
-        # Nothing is added, not even the full first block.
-        assert acc.snapshot_count == 0
-        fresh = DensityAccumulator(GRID20).add_snapshots(snaps[:1])
-        assert acc.add_snapshots(snaps[:1]).curve() == fresh.curve()
+            acc.add_snapshots(trace.snapshots)
+        # Nothing is added, not even the snapshots before the bad level joins.
+        assert acc.snapshot_count == 0 and not acc._tallies.any()
+        fresh = DensityAccumulator(GRID20).add_snapshots(good.snapshots)
+        assert acc.add_snapshots(good.snapshots).curve() == fresh.curve()
 
 
 class TestStreamingObserver:
@@ -452,14 +394,17 @@ class TestStreamingObserver:
         assert (second._tallies.tolist(), second.snapshot_count) == state
         assert second.curve().values == curve
         # Adding to the merged accumulator leaves the merged-in one alone too.
-        first.add_snapshots([Snapshot(self.START, (0.5,))])
+        first.add_trace(hand_trace((0.5, 0.25), (self.START, self.START + 1.0), (None, None)))
         assert (second._tallies.tolist(), second.snapshot_count) == state
         again = DensityAccumulator(GRID20, self.START).merge(first)
         assert again.curve().values == first.curve().values
 
 
 class TestViewsAgainstStoredPaths:
-    """A trace's own views go to its columns; ``tuple(view)`` takes the stored paths, bit for bit alike."""
+    """A trace's own views go to its columns, and reduce as loops over the tuples they stand for.
+
+    Any other input, such as those tuples, is refused: a trace's columns fix every snapshot.
+    """
 
     @pytest.mark.parametrize("simulator", [simulate, reference_simulate])
     @pytest.mark.parametrize(
@@ -477,25 +422,35 @@ class TestViewsAgainstStoredPaths:
     ) -> None:
         trace = simulator(SimConfig(SystemParams(alpha, c), horizon, seed, priority_quantile=quantile))
         assert trace.final_population > 0
-        density = [
-            DensityAccumulator(GRID20, start).add_snapshots(trace.snapshots)._tallies.tobytes(),
-            DensityAccumulator(GRID20, start).add_snapshots(tuple(trace.snapshots))._tallies.tobytes(),
-            DensityAccumulator(GRID20, start).add_trace(trace)._tallies.tobytes(),
-        ]
-        delays = [
-            RecordBinStats(GRID20, start).add(trace.records)._tallies.tobytes(),
-            RecordBinStats(GRID20, start).add(tuple(trace.records))._tallies.tobytes(),
-            RecordBinStats(GRID20, start).add(trace)._tallies.tobytes(),
-        ]
-        assert density.count(density[0]) == 3 and delays.count(delays[0]) == 3
+        viewed = DensityAccumulator(GRID20, start).add_snapshots(trace.snapshots)
+        assert viewed._tallies.tobytes() == DensityAccumulator(GRID20, start).add_trace(trace)._tallies.tobytes()
+        counts = stored_counts(tuple(trace.snapshots), GRID20, start)
+        assert (viewed.snapshot_count, viewed._tallies[0].tolist()) == counts == swept_counts(trace, GRID20, start)
+        delays = RecordBinStats(GRID20, start).add(trace.records)
+        assert tallies(delays) == tallies(RecordBinStats(GRID20, start).add(trace))
+        assert tallies(delays) == loop_tallies(tuple(trace.records), GRID20, start)
+
+    def test_other_inputs_are_refused(self) -> None:
+        trace = simulate(SimConfig(SystemParams(5.0, 2), 30.0, 43))
+        density, delays = DensityAccumulator(GRID20), RecordBinStats(GRID20)
+        snapshots, records = trace.snapshots, trace.records
+        for other in (list(snapshots), tuple(snapshots), snapshots[1:], [], iter(snapshots)):
+            with pytest.raises(TypeError, match="add_trace"):
+                density.add_snapshots(other)
+        for other in (list(records), tuple(records), records[1:], [], trace.snapshots):
+            with pytest.raises(TypeError, match="SimTrace"):
+                delays.add(other)
+        assert not density._tallies.any() and not delays._tallies.any()
+        # () is what a trace gives that kept no snapshots, and adds nothing.
+        unkept = simulate(SimConfig(SystemParams(5.0, 2), 30.0, 43, record_snapshots=False))
+        assert unkept.snapshots == () and density.add_snapshots(unkept.snapshots) is density
+        assert density.add_snapshots(()).snapshot_count == 0 and not density._tallies.any()
 
     def test_a_view_refuses_a_level_that_no_kept_snapshot_shows(self) -> None:
         # Customer 1 leaves before customer 2 arrives, and customer 2 arrives
         # last: no snapshot shows either level. The view checks every customer.
         trace = hand_trace((0.25, 1.5, -0.5), (0.0, 1.0, 3.0), (5.0, 2.0, None))
         assert [s.priorities for s in trace.snapshots] == [(), (0.25,), (0.25,)]
-        stored = DensityAccumulator(GRID20).add_snapshots(tuple(trace.snapshots))
-        assert stored.snapshot_count == 3
         viewed = DensityAccumulator(GRID20)
         with pytest.raises(ValueError, match="priority 1.5 outside"):
             viewed.add_snapshots(trace.snapshots)
@@ -506,22 +461,22 @@ class TestDelayEstimation:
     def test_interrupted_customer_worked_example(self) -> None:
         # Arrives at 0 and starts service, loses the server at 1, gets it
         # back at 4, leaves at 5: served 2 in two spells, out of service 3.
-        r = record(0, 0.3, 0.0, 4.0, 5.0, 2.0)
-        assert r.waiting == 3.0
+        trace = customers((0.3, 0.0, 4.0, 5.0, 2.0))
+        assert trace.records[0].waiting == 3.0
         stats = RecordBinStats(BinGrid(0.5))
-        stats.add([r])
+        stats.add(trace)
         assert stats.waiting_curve().values[0] == ExtendedReal(3.0)
         assert stats.sojourn_curve().values[0] == ExtendedReal(5.0)
 
     def test_censored_policies(self) -> None:
         grid = BinGrid(0.5)
-        rs = [
-            record(0, 0.2, 0.0, 1.0, 3.0, 2.0),  # sojourn 3
-            record(1, 0.3, 1.0, 2.0, 6.0, 4.0),  # sojourn 5
-            record(2, 0.25, 2.0, None, None, None),  # censored, same bin
-            record(3, 0.8, 2.0, None, None, None),  # censored, upper bin alone
-        ]
-        stats = RecordBinStats(grid).add(rs)
+        trace = customers(
+            (0.2, 0.0, 1.0, 3.0, 2.0),  # sojourn 3
+            (0.3, 1.0, 2.0, 6.0, 4.0),  # sojourn 5
+            (0.25, 2.0, None, None, None),  # censored, same bin
+            (0.8, 2.0, None, None, None),  # censored, upper bin alone
+        )
+        stats = RecordBinStats(grid).add(trace)
         infinite_s = stats.sojourn_curve(CensoredPolicy.INFINITE)
         assert infinite_s.values[0] == INFINITY
         assert infinite_s.values[1] == INFINITY
@@ -530,9 +485,9 @@ class TestDelayEstimation:
         assert excluded_s.values[1] is None  # nothing departed up there
 
     def test_empty_bin_is_undefined_under_both_policies(self) -> None:
-        rs = [record(0, 0.2, 0.0, 1.0, 3.0, 2.0)]
+        trace = customers((0.2, 0.0, 1.0, 3.0, 2.0))
         for policy in CensoredPolicy:
-            curve = RecordBinStats(BinGrid(0.5)).add(rs).sojourn_curve(policy)
+            curve = RecordBinStats(BinGrid(0.5)).add(trace).sojourn_curve(policy)
             assert curve.values[1] is None
 
     def test_policies_agree_on_censor_free_bins(self) -> None:
@@ -558,39 +513,39 @@ class TestDelayEstimation:
                 assert w.finite <= s.finite  # service takes the rest
 
     def test_warmup_skips_early_arrivals(self) -> None:
-        rs = [record(0, 0.2, 0.0, 0.0, 1.0, 1.0), record(1, 0.2, 5.0, 5.0, 7.0, 2.0)]
+        trace = customers((0.2, 0.0, 0.0, 1.0, 1.0), (0.2, 5.0, 5.0, 7.0, 2.0))
         stats = RecordBinStats(BinGrid(0.5), start_time=2.0)
-        stats.add(rs)
+        stats.add(trace)
         assert stats.departed_total == 1
         assert stats.sojourn_curve().values[0] == ExtendedReal(2.0)
 
     def test_departed_without_entry_is_an_error(self) -> None:
         stats = RecordBinStats(BinGrid(0.5))
-        with pytest.raises(ValueError):
-            stats.add([record(0, 0.2, 0.0, None, 3.0, 3.0)])
+        with pytest.raises(ValueError, match="customer 0 has no service entry"):
+            stats.add(customers((0.2, 0.0, None, 3.0, 3.0)))
 
     def test_departed_without_service_time_is_an_error(self) -> None:
         stats = RecordBinStats(BinGrid(0.5))
-        with pytest.raises(ValueError):
-            stats.add([record(0, 0.2, 0.0, 1.0, 3.0, None)])
+        with pytest.raises(ValueError, match="customer 0 has no service time"):
+            stats.add(customers((0.2, 0.0, 1.0, 3.0, None)))
 
     @pytest.mark.parametrize(
         "bad, field",
         [
-            (record(0, 0.5, True, 1.0, 3.0, 2.0), "arrival_time"),
-            (record(0, 0.5, 1.0, True, 3.0, 2.0), "last_service_entry"),
-            (record(0, 0.5, 1.0, 1.0, "3.0", 2.0), "departure_time"),
+            ((0.5, True, 1.0, 3.0, 2.0), "arrival_time"),
+            ((0.5, 1.0, True, 3.0, 2.0), "last_service_entry"),
+            ((0.5, 1.0, 1.0, "3.0", 2.0), "departure_time"),
         ],
     )
     def test_mistyped_times_are_refused(self, tmp_path, bad, field) -> None:
         # Neither True read as 1.0 nor "3.0" parsed as 3.0.
+        # A trace of them is refused when it is made, so it reaches neither a tally nor a file.
         stats = RecordBinStats(BinGrid(0.5))
         with pytest.raises(ValueError, match=f"{field} must be a number"):
-            stats.add([bad])
+            stats.add(customers(bad))
         assert tallies(stats) == ([0, 0], [0, 0], [0.0, 0.0], [0.0, 0.0])
-        # Nor does a trace of them reach a file.
         with pytest.raises(ValueError, match=f"{field} must be a number"):
-            write_trace_csv(SimTrace(*([v] for v in bad[1:])), tmp_path / "trace.csv")
+            write_trace_csv(customers(bad), tmp_path / "trace.csv")
         assert not (tmp_path / "trace.csv").exists()
 
     def test_merge_equals_single_pass(self) -> None:
@@ -599,8 +554,8 @@ class TestDelayEstimation:
         whole = RecordBinStats(GRID20)
         whole.add(trace.records)
         left, right = RecordBinStats(GRID20), RecordBinStats(GRID20)
-        left.add(trace.records[:50])
-        right.add(trace.records[50:])
+        left.add(part(trace, slice(50)))
+        right.add(part(trace, slice(50, None)))
         left.merge(right)
         assert left.censored_total == whole.censored_total
         assert left.departed_total == whole.departed_total
@@ -625,7 +580,7 @@ class TestDelayEstimation:
 
     def test_merge_rejects_another_warmup(self) -> None:
         stats = RecordBinStats(GRID20, 1.0)
-        early = RecordBinStats(GRID20, 0.0).add([record(0, 0.5, 0.5, 0.5, 2.0, 1.0)])
+        early = RecordBinStats(GRID20, 0.0).add(customers((0.5, 0.5, 0.5, 2.0, 1.0)))
         with pytest.raises(ValueError, match="start times"):
             stats.merge(early)
         assert not stats._tallies.any()
@@ -656,7 +611,7 @@ class TestDelayEstimation:
         ],
     )
     def test_times_that_give_no_delay_are_refused(self, start, arrival, departure) -> None:
-        stats = RecordBinStats(BinGrid(0.5), start).add([record(0, 0.2, 0.2, 0.2, 0.4, 0.2)])
+        stats = RecordBinStats(BinGrid(0.5), start).add(customers((0.2, 0.2, 0.2, 0.4, 0.2)))
         before = tallies(stats)
         served = None if departure is None else 0.5
         trace = SimTrace((0.2, 0.6), (0.2, arrival), (0.2, 0.2), (0.4, departure), (0.2, served))
@@ -677,7 +632,7 @@ class TestDelayEstimation:
 
     def test_repeated_add_equals_merge(self) -> None:
         trace = simulate(SimConfig(SystemParams(1.5, 2), 400.0, 13))
-        first, second = trace.records[:300], trace.records[300:]
+        first, second = part(trace, slice(300)), part(trace, slice(300, None))
         added = RecordBinStats(GRID20).add(first).add(second)
         merged = RecordBinStats(GRID20).add(first).merge(RecordBinStats(GRID20).add(second))
         assert tallies(added) == tallies(merged)
@@ -685,38 +640,38 @@ class TestDelayEstimation:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (record(9, 0.2, 3.0, None, 4.0, 1.0), "no service entry"),
-            (record(9, 0.2, 3.0, 3.5, 4.0, None), "no service time"),
-            (record(9, 1.5, 3.0, 3.0, 4.0, 1.0), "outside"),
-            (record(9, math.nan, 3.0, 3.0, 4.0, 1.0), "outside"),
+            ((0.2, 3.0, None, 4.0, 1.0), "no service entry"),
+            ((0.2, 3.0, 3.5, 4.0, None), "no service time"),
+            ((1.5, 3.0, 3.0, 4.0, 1.0), "outside"),
+            ((math.nan, 3.0, 3.0, 4.0, 1.0), "outside"),
         ],
     )
     def test_failed_add_changes_nothing(self, bad, message) -> None:
-        good = [record(0, 0.2, 2.0, 2.0, 3.0, 1.0), record(1, 0.7, 2.5, None, None, None)]
-        stats = RecordBinStats(BinGrid(0.5)).add(good)
+        good = (0.2, 2.0, 2.0, 3.0, 1.0), (0.7, 2.5, None, None, None)
+        stats = RecordBinStats(BinGrid(0.5)).add(customers(*good))
         before = tuple(list(t) for t in tallies(stats))
         with pytest.raises(ValueError, match=message):
-            stats.add([*good, bad, record(10, 0.6, 5.0, 5.0, 6.0, 1.0)])
+            stats.add(customers(*good, bad, (0.6, 5.0, 5.0, 6.0, 1.0)))
         assert tallies(stats) == before
 
     def test_priority_faults_are_reported_before_missing_times(self) -> None:
         stats = RecordBinStats(BinGrid(0.5))
         with pytest.raises(ValueError, match="priority 1.5 outside"):
-            stats.add([record(0, 0.2, 1.0, None, 2.0, 1.0), record(1, 1.5, 1.5, 1.5, 2.5, 1.0)])
+            stats.add(customers((0.2, 1.0, None, 2.0, 1.0), (1.5, 1.5, 1.5, 2.5, 1.0)))
         assert tallies(stats) == ([0, 0], [0, 0], [0.0, 0.0], [0.0, 0.0])
 
     @pytest.mark.parametrize(
         "bad",
         [
-            record(0, 0.2, 0.0, None, 4.0, 1.0),
-            record(0, 0.2, 0.0, 3.5, 4.0, None),
-            record(0, 1.5, 0.0, 0.0, 4.0, 1.0),
-            record(0, math.nan, 0.0, 0.0, 4.0, 1.0),
-            record(0, 0.2, 1.0, 1.0, 0.5, 0.5),
+            (0.2, 0.0, None, 4.0, 1.0),
+            (0.2, 0.0, 3.5, 4.0, None),
+            (1.5, 0.0, 0.0, 4.0, 1.0),
+            (math.nan, 0.0, 0.0, 4.0, 1.0),
+            (0.2, 1.0, 1.0, 0.5, 0.5),
         ],
     )
     def test_bad_record_before_start_time_is_skipped(self, bad) -> None:
-        stats = RecordBinStats(BinGrid(0.5), 2.0).add([bad, record(1, 0.2, 5.0, 5.0, 7.0, 2.0)])
+        stats = RecordBinStats(BinGrid(0.5), 2.0).add(customers(bad, (0.2, 5.0, 5.0, 7.0, 2.0)))
         assert tallies(stats) == ([1, 0], [0, 0], [2.0, 0.0], [0.0, 0.0])
 
 

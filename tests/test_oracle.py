@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from uniprio.analytics import SystemParams
+from uniprio.analytics import SystemParams, sojourn_time, waiting_time
 from uniprio.des import SimConfig, read_trace_csv, write_snapshots_csv, write_trace_csv
 from uniprio.oracle import (
     BirthDeathSpec,
@@ -104,6 +104,56 @@ class TestBirthDeathStationary:
         pi = birth_death_stationary(spec)
         assert abs(pi.sum() - 1.0) < 1e-12
         assert np.all(pi >= 0.0)
+
+
+
+def tagged_delays(rate: float, servers: int, truncation: int) -> tuple[float, float]:
+    """Mean time in system and out of service of a tagged customer that sees ``rate`` of
+    stronger arrivals, by first-step analysis on the truncated birth-death chain of those.
+
+    With ``k`` stronger customers present it is served while ``k < servers`` and leaves at
+    rate 1. The expected times to absorption from each state solve ``(-Q) h = 1`` and
+    ``(-Q) w = 1{k >= servers}``; ``-Q`` is tridiagonal, so one elimination sweep from
+    state 0 up and one substitution down solve both. Arrivals see the stationary law
+    (PASTA), which weights the two.
+    """
+    n = truncation
+    ups = [rate] * n + [0.0]
+    downs = [min(k, servers) for k in range(n + 1)]
+    ratio, carried = [0.0] * (n + 1), [(0.0, 0.0)] * (n + 1)
+    for k in range(n + 1):
+        below = downs[k] * ratio[k - 1] if k else 0.0
+        pivot = ups[k] + downs[k] + (k < servers) - below
+        ratio[k] = ups[k] / pivot
+        h, w = carried[k - 1] if k else (0.0, 0.0)
+        carried[k] = ((1.0 + downs[k] * h) / pivot, ((k >= servers) + downs[k] * w) / pivot)
+    h, w = [0.0] * (n + 1), [0.0] * (n + 1)
+    for k in reversed(range(n + 1)):
+        above = (h[k + 1], w[k + 1]) if k < n else (0.0, 0.0)
+        h[k] = carried[k][0] + ratio[k] * above[0]
+        w[k] = carried[k][1] + ratio[k] * above[1]
+    pi = birth_death_stationary(BirthDeathSpec(rate, servers, n))
+    return float(pi @ h), float(pi @ w)
+
+
+class TestDelayClosedForms:
+    """``sojourn_time`` and ``waiting_time`` against the stronger customers' birth-death chain."""
+
+    # (alpha, c, level): alpha = 1.5 c puts p* at 1/3; each such setting at 0.01 and 0.05 above it,
+    # and a light one.
+    POINTS = [
+        *((1.5 * c, c, 1.0 - 1.0 / 1.5 + d) for c in (1, 2, 3, 50) for d in (0.01, 0.05)),
+        (45.0, 50, 0.0),
+        (45.0, 50, 0.99),  # W is about 1e-82 here
+    ]
+
+    @pytest.mark.parametrize("alpha, c, p", POINTS)
+    def test_match_first_step_analysis(self, alpha: float, c: int, p: float) -> None:
+        params, rate = SystemParams(alpha, c), (1.0 - p) * alpha
+        sojourn, waiting = tagged_delays(rate, c, default_truncation(rate, c))
+        assert sojourn == pytest.approx(sojourn_time(params, p).finite, rel=1e-10)
+        assert waiting == pytest.approx(waiting_time(params, p).finite, rel=1e-10)
+        assert waiting > 0.0
 
 
 class TestDefaultTruncation:

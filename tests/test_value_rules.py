@@ -17,7 +17,7 @@ import pytest
 
 from uniprio.analytics import ExtendedReal, SystemParams, is_stable, mean_measure, p0_mass, tail_pmf
 from uniprio.cli import _DEFAULTS, ExperimentConfig, build_config
-from uniprio.des import SimConfig, SimTrace, Snapshot
+from uniprio.des import SimConfig, SimTrace
 from uniprio.estimate import BinGrid, DensityAccumulator, RecordBinStats, write_points_csv
 
 PARAMS = SystemParams(1.5, 2)
@@ -33,6 +33,11 @@ def experiment(name: str):
 def two_customers(level) -> SimTrace:
     """A trace whose second customer has priority ``level``."""
     return SimTrace((0.25, level), (0.0, 1.0), (0.0, 1.0), (2.0, 3.0), (2.0, 2.0))
+
+
+def one_arrival(time) -> SimTrace:
+    """A trace of one customer, arriving at ``time`` and still present."""
+    return SimTrace((0.25,), (time,), (time,), (None,), (None,))
 
 
 def points_file(point) -> str:
@@ -93,12 +98,12 @@ REAL_SITES = [
     ),
     pytest.param(
         "priority level",
-        lambda v: DensityAccumulator(GRID).add_snapshots([Snapshot(0.0, (0.25, v))]).curve(),
+        lambda v: DensityAccumulator(GRID).add_snapshots(two_customers(v).snapshots).curve(),
         id="DensityAccumulator.add_snapshots",
     ),
     pytest.param(
-        "snapshot time",
-        lambda v: DensityAccumulator(GRID).add_snapshots([Snapshot(v, (0.25,))]).curve(),
+        "arrival_time",
+        lambda v: DensityAccumulator(GRID).add_snapshots(one_arrival(v).snapshots).curve(),
         id="DensityAccumulator.add_snapshots.time",
     ),
     pytest.param(
@@ -110,7 +115,9 @@ REAL_SITES = [
         "start_time", lambda v: DensityAccumulator(GRID, v).start_time, id="DensityAccumulator.start_time"
     ),
     pytest.param(
-        "start_time", lambda v: RecordBinStats(GRID, v).add([]).departed_total, id="RecordBinStats.add"
+        "start_time",
+        lambda v: RecordBinStats(GRID, v).add(SimTrace((), (), (), (), ())).departed_total,
+        id="RecordBinStats.add",
     ),
     *(
         pytest.param(key, setting(key, field), id=f"settings.{key}")
